@@ -19,7 +19,7 @@ from .bandit import (
     update,
 )
 from .bm_exit import BmExitSample, KernelEvaluation, absorbing_kernel, cond_bm, exit_bm, exit_time_cdf, hit_cdf
-from .box_exit import BoxOutcome, WorkCounter, box_exit, exp_draw
+from .box_exit import BoxOutcome, WorkCounter, box_exit
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -42,7 +42,6 @@ from .model import (
     make_model,
     ornstein_uhlenbeck,
     sinusoidal_drift,
-    slice_bounds_table,
 )
 from .oracle import (
     binomial_z,
@@ -56,7 +55,7 @@ from .oracle import (
     mean_exit_time,
 )
 from .quadrature import QuadratureResult, adaptive_simpson
-from .random_walk import ExitRecord, SliceGrid, diff_exit, slice_index, slice_interval
+from .random_walk import ExitRecord, SliceGrid, diff_exit, slice_bounds_table, slice_index, slice_interval
 from .rng import RandomStream, substream
 
 __version__ = "0.1.0"

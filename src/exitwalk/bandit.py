@@ -15,8 +15,8 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .model import DiffusionModel
-from .random_walk import ExitRecord, diff_exit
+from .model import DiffusionModel, lamperti_forward
+from .random_walk import ExitRecord, diff_exit, slice_bounds_table
 from .rng import RandomStream
 
 SCHEDULES = ("fixed", "cube_root_decay")
@@ -148,10 +148,15 @@ def bandit_diff_exit(
 
     Strictly sequential: the clock is started and stopped around each exit
     simulation and the state is updated before the next arm is selected.
+    The bounds table of every arm is built before the first pull, so a
+    wall-clock reward never charges that one-off build to an arm.
     """
     if M < 1:
         raise ValueError(f"need M >= 1, got {M!r}")
     state = BanditState(n0=n0, epsilon=epsilon, schedule=schedule)
+    a_hat = lamperti_forward(model, a)
+    b_hat = lamperti_forward(model, b)
+    tables = {arm: slice_bounds_table(model, a_hat, b_hat, arm) for arm in state.arms}
     records: list[ExitRecord] = []
     rows: list[tuple[int, int, float, float, float]] = []
     running = 0.0
@@ -159,7 +164,7 @@ def bandit_diff_exit(
         eps_eff = state.epsilon_effective(it)
         arm = select_arm(state, rng)
         t0 = _time.perf_counter()
-        rec = diff_exit(rng, model, x, a, b, T, arm, gamma_fn=gamma_fn)
+        rec = diff_exit(rng, model, x, a, b, T, arm, bounds_table=tables[arm], gamma_fn=gamma_fn)
         dt = _time.perf_counter() - t0
         r = reward.extract(rec, dt)
         update(state, arm, r)

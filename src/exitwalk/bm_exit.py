@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ConvergenceError, DegenerateInputError
 from .rng import RandomStream
@@ -290,7 +291,16 @@ def _sample_normal_tail(rng: RandomStream, c: float) -> float:
             return y
 
 
-_ENV_MEMO = [math.nan, 0.0, 0.0, 0.0, 0.0]  # z, c_env, mass_head, total, trunc
+# _exit_bm_norm alternates between z and 1 - z, and a rectangle restarts from
+# the same z, so a few entries catch most repeats
+@lru_cache(maxsize=8)
+def _hit_envelope(z: float) -> tuple[float, float, float, float]:
+    """(c_env, mass_head, total mass, normal truncation point) of the envelope at z."""
+    d0 = 1.0 - z
+    c_env = math.sin(math.pi * z) + _TAIL_ENV_SLACK
+    mass_head = math.erfc(d0 / math.sqrt(2.0 * _T_HEAD))
+    total = mass_head + (2.0 * c_env / math.pi) * math.exp(-_HALF_PI2 * _T_HEAD)
+    return c_env, mass_head, total, d0 / math.sqrt(_T_HEAD)
 
 
 def _sample_hit_time(rng: RandomStream, z: float) -> float:
@@ -302,15 +312,7 @@ def _sample_hit_time(rng: RandomStream, z: float) -> float:
     dominates the spectral series for t >= _T_HEAD.
     """
     d0 = 1.0 - z
-    memo = _ENV_MEMO
-    if memo[0] == z:
-        c_env, mass_head, total, trunc = memo[1], memo[2], memo[3], memo[4]
-    else:
-        c_env = math.sin(math.pi * z) + _TAIL_ENV_SLACK
-        mass_head = math.erfc(d0 / math.sqrt(2.0 * _T_HEAD))
-        total = mass_head + (2.0 * c_env / math.pi) * math.exp(-_HALF_PI2 * _T_HEAD)
-        trunc = d0 / math.sqrt(_T_HEAD)
-        memo[0], memo[1], memo[2], memo[3], memo[4] = z, c_env, mass_head, total, trunc
+    c_env, mass_head, total, trunc = _hit_envelope(z)
     pref = 0.3989422804014327  # 1/sqrt(2 pi)
     while True:
         if rng.uniform() * total < mass_head:
@@ -354,12 +356,12 @@ def _cond_bm_norm(rng: RandomStream, z: float, tn: float) -> float:
     """Normalised conditioned position in (0, 1); tn is time over squared width."""
     if tn >= _T_CROSS:
         a = _HALF_PI2 * tn
-        _, ghi = _survival_bounds(z, tn, 3)
-        if ghi < 1e-300:
-            raise DegenerateInputError(f"survival probability underflow at normalised t={tn!r}")
         sup_q = 2.0 * math.sin(math.pi * z) * math.exp(-a) + 2.0 * math.exp(-4.0 * a) / (
             1.0 - math.exp(-4.0 * a)
         )
+        # sup_q bounds the kernel, and with it the survival probability, from above
+        if sup_q < 1e-300:
+            raise DegenerateInputError(f"survival probability underflow at normalised t={tn!r}")
         for _ in range(_MAX_PROPOSALS):
             y = rng.uniform()
             threshold = rng.uniform() * sup_q

@@ -14,11 +14,11 @@ the bounds' slack; looser bounds only raise the work counters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bm_exit import _cond_bm_norm, _exit_bm_norm
-from .errors import ConfigurationError, RunawayError
-from .model import DiffusionModel, IntervalBounds, compute_bounds
+from .errors import RunawayError
+from .model import DiffusionModel, IntervalBounds, check_horizon, compute_bounds
 from .rng import RandomStream
 
 _MAX_RESTARTS = 10**9
@@ -43,13 +43,6 @@ class WorkCounter:
             + self.uniform_draws
         )
 
-    def add(self, other: "WorkCounter") -> None:
-        self.restarts += other.restarts
-        self.exit_bm_calls += other.exit_bm_calls
-        self.cond_bm_calls += other.cond_bm_calls
-        self.exp_draws += other.exp_draws
-        self.uniform_draws += other.uniform_draws
-
 
 @dataclass(frozen=True)
 class BoxOutcome:
@@ -57,13 +50,6 @@ class BoxOutcome:
     position: float
     exited: bool
     work: WorkCounter
-
-
-def exp_draw(rng: RandomStream, rate: float) -> float:
-    """Exp(rate) variate; rate 0 means no thinning events, i.e. +inf."""
-    if rate < 0.0:
-        raise ValueError(f"rate must be nonnegative, got {rate!r}")
-    return rng.exponential(rate)
 
 
 def box_exit(
@@ -83,7 +69,7 @@ def box_exit(
 
     ``bounds`` may be any valid (possibly conservative) interval bounds; they
     are computed from the model when omitted.  ``gamma_fn`` overrides the
-    gamma evaluation used in the thinning test (validation hook; the bounds
+    model's gamma evaluator in the thinning test (validation hook; the bounds
     are never derived from it).  ``work`` lets a caller aggregate cost over
     many rectangles; the returned outcome carries whichever counter was used.
     """
@@ -96,18 +82,9 @@ def box_exit(
     g_inf = bounds.gamma_inf
     g_range = bounds.gamma_range
     log_bsup = bounds.log_beta_sup
-    if math.isinf(T) and g_inf != 0.0:
-        raise ConfigurationError(
-            f"T=inf requires gamma_inf = 0 on ({l!r}, {u!r}); got gamma_inf={g_inf!r}"
-        )
+    check_horizon(T, (bounds,))
     if gamma_fn is None:
-        mu0 = model.mu0
-        mu0p = model.mu0_prime
-
-        def gamma_fn(y: float) -> float:
-            m = mu0(y)
-            return 0.5 * (m * m + mu0p(y))
-
+        gamma_fn = model.gamma_fn
     anti = model.mu0_antiderivative
     w = work if work is not None else WorkCounter()
     # per-rectangle constants: normalised coordinates and endpoint log margins

@@ -9,7 +9,9 @@ validate      oracle-vs-empirical comparison table, nonzero exit on failure
 kernel-check  CDF table dump for test tooling (hidden)
 
 All randomness derives from --seed through named substreams, so identical
-configuration and seed produce byte-identical CSV.  Wall-clock columns are
+configuration and seed produce byte-identical CSV.  sample, sweep and validate
+run their replications across all cores through parallel.run_replications,
+whose output does not depend on the core count.  Wall-clock columns are
 written as 0.0 unless timing is enabled (--timing, or a wall-clock reward),
 because measured times would break that determinism contract; timing summaries
 go to stderr.  Exit codes: 0 ok, 2 config error, 3 validation failure, 4
@@ -31,7 +33,7 @@ from . import oracle
 from .bm_exit import exit_time_cdf, hit_cdf
 from .errors import ConfigurationError, ExitwalkError, RunawayError
 from .model import DiffusionModel, brownian, build_model
-from .random_walk import diff_exit
+from .parallel import run_replications
 from .rng import substream
 
 SCHEMA_PREFIX = "# schema exitwalk"
@@ -200,9 +202,15 @@ def _model_header(writer: _Writer, cfg: ExperimentConfig, model: DiffusionModel)
         writer.raw(f"# antiderivative_tol {model.antiderivative_tol!r}")
 
 
+def _wall_ms(cfg: ExperimentConfig, out: dict) -> np.ndarray:
+    """Per-replication wall time in ms, or zeros to keep the CSV byte-deterministic."""
+    return out["wall_time"] * 1e3 if cfg.timing else np.zeros(len(out["wall_time"]))
+
+
 def cmd_sample(cfg: ExperimentConfig) -> int:
     model = _build_model(cfg)
     n_slices = 2 if cfg.single_box else cfg.N
+    out = run_replications(model, cfg.x, cfg.a, cfg.b, cfg.T, n_slices, cfg.M, cfg.seed, tag="sample")
     writer = _Writer(cfg.out)
     writer.raw(f"{SCHEMA_PREFIX}.sample v1")
     _model_header(writer, cfg, model)
@@ -210,22 +218,18 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
         "seed", "exit_time", "exit_location", "steps", "restarts",
         "exit_bm_calls", "cond_bm_calls", "wall_ms", "N", "T",
     )
-    times = np.empty(cfg.M)
-    at_b = 0
-    for i in range(cfg.M):
-        rng = substream(cfg.seed, "sample", i)
-        rec = diff_exit(rng, model, cfg.x, cfg.a, cfg.b, cfg.T, n_slices)
-        times[i] = rec.exit_time
-        at_b += rec.exit_location == cfg.b
-        wall_ms = rec.wall_time * 1e3 if cfg.timing else 0.0
-        writer.line(
-            i, rec.exit_time, rec.exit_location, rec.steps, rec.work.restarts,
-            rec.work.exit_bm_calls, rec.work.cond_bm_calls, wall_ms, n_slices, cfg.T,
-        )
+    columns = [
+        out[key].tolist()
+        for key in ("time", "location", "steps", "restarts", "exit_bm_calls", "cond_bm_calls")
+    ]
+    columns.append(_wall_ms(cfg, out).tolist())
+    for i, row in enumerate(zip(*columns)):
+        writer.line(i, *row, n_slices, cfg.T)
     writer.done()
+    times = out["time"]
     mean = float(times.mean())
     half = 1.96 * float(times.std(ddof=1)) / math.sqrt(cfg.M) if cfg.M > 1 else 0.0
-    freq = at_b / cfg.M
+    freq = int((out["location"] == cfg.b).sum()) / cfg.M
     fhalf = 1.96 * math.sqrt(max(freq * (1 - freq), 0.0) / cfg.M)
     print(
         f"sample: M={cfg.M} mean_exit_time={mean:.6g} ci95=[{mean - half:.6g},{mean + half:.6g}] "
@@ -245,17 +249,11 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         "wall_ci_hi", "mean_steps", "steps_ci_lo", "steps_ci_hi",
     )
     for n_slices in range(cfg.N_min, cfg.N0 + 1):
-        rng = substream(cfg.seed, "sweep", n_slices)
-        work = np.empty(cfg.M)
-        wall = np.empty(cfg.M)
-        steps = np.empty(cfg.M)
-        for i in range(cfg.M):
-            rec = diff_exit(rng, model, cfg.x, cfg.a, cfg.b, cfg.T, n_slices)
-            work[i] = rec.work.total()
-            wall[i] = rec.wall_time * 1e3 if cfg.timing else 0.0
-            steps[i] = rec.steps
+        out = run_replications(
+            model, cfg.x, cfg.a, cfg.b, cfg.T, n_slices, cfg.M, cfg.seed, tag=f"sweep/N{n_slices}"
+        )
         row = [n_slices]
-        for arr in (work, wall, steps):
+        for arr in (out["work"], _wall_ms(cfg, out), out["steps"]):
             m = float(arr.mean())
             half = 1.96 * float(arr.std(ddof=1)) / math.sqrt(cfg.M) if cfg.M > 1 else 0.0
             row += [m, m - half, m + half]
@@ -298,17 +296,16 @@ def cmd_bandit(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def run_validation(model, x, a, b, T, N, n, rng, case="case", gamma_fn=None) -> list[dict]:
-    """Empirical diff_exit moments vs quadrature oracles; one dict per check."""
-    times = np.empty(n)
-    at_b = 0
-    for i in range(n):
-        rec = diff_exit(rng, model, x, a, b, T, N, gamma_fn=gamma_fn)
-        times[i] = rec.exit_time
-        at_b += rec.exit_location == b
+def run_validation(model, x, a, b, T, N, n, seed, tag, case="case", gamma_fn=None) -> list[dict]:
+    """Empirical diff_exit moments vs quadrature oracles; one dict per check.
+
+    Replication i draws from substream(seed, tag, i).
+    """
+    out = run_replications(model, x, a, b, T, N, n, seed, tag=tag, gamma_fn=gamma_fn)
+    times = out["time"]
     p_oracle = oracle.exit_probability(model, x, a, b)
     t_oracle = oracle.mean_exit_time(model, x, a, b)
-    freq = at_b / n
+    freq = int((out["location"] == b).sum()) / n
     p_se = math.sqrt(max(p_oracle * (1.0 - p_oracle), 1e-300) / n)
     t_se = float(times.std(ddof=1)) / math.sqrt(n)
     rows = [
@@ -348,11 +345,10 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     writer.raw(f"{SCHEMA_PREFIX}.validate v1")
     writer.line("case", "quantity", "n", "observed", "expected", "tol", "score", "status")
     failed = 0
-    for idx, case in enumerate(cfg.cases):
+    for case in cfg.cases:
         _, _, a, b, x, T, N = _VALIDATION_CASES[case]
         model = _case_model(case)
-        rng = substream(cfg.seed, "validate", idx)
-        for row in run_validation(model, x, a, b, T, N, cfg.M, rng, case=case):
+        for row in run_validation(model, x, a, b, T, N, cfg.M, cfg.seed, f"validate/{case}", case=case):
             failed += row["status"] != "pass"
             writer.line(
                 row["case"], row["quantity"], row["n"], row["observed"], row["expected"],

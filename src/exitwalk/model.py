@@ -19,9 +19,9 @@ pad while the built-in models supply closed-form extrema where available.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional, Sequence
 
 from .errors import ConfigurationError, DomainError
 from .quadrature import adaptive_simpson
@@ -57,7 +57,6 @@ class DiffusionModel:
     lamperti_inverse: Callable[[float], float]
     domain: tuple[float, float] = (-math.inf, math.inf)
     params: tuple[tuple[str, float], ...] = ()
-    unit_diffusion: bool = True
     # exact extrema hooks; None means grid maximisation with a safety pad
     gamma_extrema: Optional[Callable[[float, float], tuple[float, float]]] = None
     log_beta_max: Optional[Callable[[float, float], float]] = None
@@ -68,6 +67,22 @@ class DiffusionModel:
 
     def param_dict(self) -> dict[str, float]:
         return dict(self.params)
+
+    @cached_property
+    def gamma_fn(self) -> Callable[[float], float]:
+        """gamma(y) = (mu0(y)^2 + mu0'(y))/2 without domain checks, built once per model.
+
+        The samplers call this evaluator in their inner loops; :func:`gamma`
+        adds the domain and finiteness checks on top of it.
+        """
+        mu0 = self.mu0
+        mu0p = self.mu0_prime
+
+        def gamma_fn(y: float) -> float:
+            m = mu0(y)
+            return 0.5 * (m * m + mu0p(y))
+
+        return gamma_fn
 
 
 @dataclass(frozen=True)
@@ -118,8 +133,7 @@ def beta(model: DiffusionModel, x: float) -> float:
 def gamma(model: DiffusionModel, x: float) -> float:
     """(mu0^2 + mu0')/2 at x."""
     _check_in_domain(model, x)
-    m = model.mu0(x)
-    v = 0.5 * (m * m + model.mu0_prime(x))
+    v = model.gamma_fn(x)
     if not math.isfinite(v):
         raise DomainError(f"gamma not finite at x={x!r} for model {model.name!r}")
     return v
@@ -203,14 +217,18 @@ def compute_bounds(model: DiffusionModel, l: float, u: float) -> IntervalBounds:
     )
 
 
-@lru_cache(maxsize=512)
-def slice_bounds_table(model: DiffusionModel, a_hat: float, b_hat: float, n: int) -> tuple[IntervalBounds, ...]:
-    """Bounds for the N-1 overlapping slices of the N-interval grid on [a_hat, b_hat]."""
-    delta = (b_hat - a_hat) / n
-    out = []
-    for i in range(1, n):
-        out.append(compute_bounds(model, a_hat + (i - 1) * delta, a_hat + (i + 1) * delta))
-    return tuple(out)
+def check_horizon(T: float, table: Sequence[IntervalBounds]) -> None:
+    """Reject T = inf unless every interval of ``table`` has gamma_inf = 0.
+
+    With gamma_inf < 0 the exit weight exp(gamma_inf * (T - t)) vanishes as
+    T grows, so an untruncated rectangle would never accept.
+    """
+    if math.isinf(T):
+        for i, bd in enumerate(table, 1):
+            if bd.gamma_inf != 0.0:
+                raise ConfigurationError(
+                    f"T=inf inadmissible: interval {i} of {len(table)} has gamma_inf={bd.gamma_inf!r} < 0"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +334,6 @@ def cox_ingersoll_ross(k: float, theta: float, sigma: float) -> DiffusionModel:
         lamperti_inverse=lambda y: (0.5 * sigma * y) ** 2,
         domain=(0.0, math.inf),
         params=(("k", k), ("theta", theta), ("sigma", sigma), ("rho", rho)),
-        unit_diffusion=False,
         drift_vec=lambda x: k * (theta - x),
         diffusion_vec=lambda x: sigma * np.sqrt(x),
     )

@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 import time as _time
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .box_exit import BoxOutcome, WorkCounter, box_exit
-from .errors import ConfigurationError, DomainError, RunawayError
-from .model import DiffusionModel, IntervalBounds, lamperti_forward, slice_bounds_table
+from .errors import DomainError, RunawayError
+from .model import DiffusionModel, IntervalBounds, check_horizon, compute_bounds, lamperti_forward
 from .rng import RandomStream
 
 _MAX_STEPS = 10**8
@@ -43,6 +44,9 @@ class SliceGrid:
         return (self.b_hat - self.a_hat) / self.n
 
     def grid_point(self, j: int) -> float:
+        """a_hat + j*delta; the top point is b_hat itself, whatever the rounding."""
+        if j == self.n:
+            return self.b_hat
         return self.a_hat + j * self.delta
 
 
@@ -68,6 +72,13 @@ def slice_interval(grid: SliceGrid, i: int) -> tuple[float, float]:
     if not 1 <= i <= grid.n - 1:
         raise ValueError(f"slice index {i!r} outside 1..{grid.n - 1}")
     return grid.grid_point(i - 1), grid.grid_point(i + 1)
+
+
+@lru_cache(maxsize=512)
+def slice_bounds_table(model: DiffusionModel, a_hat: float, b_hat: float, n: int) -> tuple[IntervalBounds, ...]:
+    """Bounds for the N-1 overlapping slices of the N-interval grid on [a_hat, b_hat]."""
+    grid = SliceGrid(a_hat, b_hat, n)
+    return tuple(compute_bounds(model, *slice_interval(grid, i)) for i in range(1, n))
 
 
 @dataclass(frozen=True)
@@ -116,20 +127,7 @@ def diff_exit(
         bounds_table = slice_bounds_table(model, a_hat, b_hat, N)
     if len(bounds_table) != N - 1:
         raise ValueError(f"bounds_table must have {N - 1} entries, got {len(bounds_table)}")
-    if math.isinf(T):
-        for i, bd in enumerate(bounds_table):
-            if bd.gamma_inf != 0.0:
-                raise ConfigurationError(
-                    f"T=inf inadmissible: slice {i + 1} has gamma_inf={bd.gamma_inf!r} < 0"
-                )
-
-    if gamma_fn is None:
-        mu0 = model.mu0
-        mu0p = model.mu0_prime
-
-        def gamma_fn(y: float) -> float:
-            m = mu0(y)
-            return 0.5 * (m * m + mu0p(y))
+    check_horizon(T, bounds_table)
 
     work = WorkCounter()
     pos = x_hat

@@ -211,6 +211,33 @@ def test_bandit_preserves_exit_law():
     assert p > 0.01
 
 
+def test_bandit_builds_every_table_before_the_first_pull(monkeypatch):
+    """A wall-clock reward must not charge a table build to the pull that needs it."""
+    import importlib
+
+    bandit_mod = importlib.import_module("exitwalk.bandit")
+    walk_mod = importlib.import_module("exitwalk.random_walk")
+    events = []
+    real_table = bandit_mod.slice_bounds_table
+    real_select = bandit_mod.select_arm
+
+    def table(*args):
+        events.append("table")
+        return real_table(*args)
+
+    def select(*args):
+        events.append("pull")
+        return real_select(*args)
+
+    monkeypatch.setattr(bandit_mod, "slice_bounds_table", table)
+    monkeypatch.setattr(walk_mod, "slice_bounds_table", table)
+    monkeypatch.setattr(bandit_mod, "select_arm", select)
+    bandit_diff_exit(substream(60, "tables"), OU1, 3.0, 0.0, 7.0, 1.0, 6, 0.5, 40)
+    first = events.index("pull")
+    assert events[:first] == ["table"] * 5
+    assert events[first:] == ["pull"] * 40
+
+
 def test_bandit_validation():
     rng = substream(59, "val")
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 
 from exitwalk import (
     ConvergenceError,
+    DegenerateInputError,
     absorbing_kernel,
     cond_bm,
     exit_bm,
@@ -135,6 +136,15 @@ def test_cond_bm_preconditions():
         cond_bm(rng, 0.3, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         cond_bm(rng, -0.1, 0.0, 1.0, 1.0)
+
+
+def test_cond_bm_degenerate_horizon_raises():
+    # survival to normalised t=1000 underflows every float; t=100 is still representable
+    rng = substream(70, "degenerate")
+    with pytest.raises(DegenerateInputError):
+        cond_bm(rng, 0.3, 0.0, 1.0, 1000.0)
+    y = cond_bm(rng, 0.3, 0.0, 1.0, 100.0)
+    assert 0.0 < y < 1.0
 
 
 def test_absorbing_kernel_large_t_first_term():

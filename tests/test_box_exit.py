@@ -16,7 +16,6 @@ from exitwalk import (
     cond_bm,
     exit_bm,
     exit_time_cdf,
-    exp_draw,
     ks_2sample,
     ornstein_uhlenbeck,
     sinusoidal_drift,
@@ -32,30 +31,6 @@ SIN = sinusoidal_drift()
 EULER_BOX_P_EXIT = 0.00107
 EULER_BOX_P_EXIT_N = 100_000
 EULER_BOX_LOWER_SHARE = 1.0
-
-
-def test_exp_draw_zero_rate_is_inf():
-    rng = substream(1, "exp")
-    before = rng.draws
-    assert exp_draw(rng, 0.0) == math.inf
-    assert rng.draws == before
-
-
-def test_exp_draw_mean():
-    rng = substream(2, "exp")
-    n = 100_000
-    vals = np.array([exp_draw(rng, 2.0) for _ in range(n)])
-    assert abs(vals.mean() - 0.5) <= 3.0 * vals.std() / math.sqrt(n)
-    assert np.all(vals > 0.0)
-
-
-def test_exp_draw_negative_rate():
-    with pytest.raises(ValueError):
-        exp_draw(substream(3, "exp"), -1.0)
-
-
-def test_exp_draw_reproducible():
-    assert exp_draw(substream(4, "exp"), 3.0) == exp_draw(substream(4, "exp"), 3.0)
 
 
 def test_preconditions():

@@ -13,7 +13,6 @@ from exitwalk.cli import (
     _parse_T,
 )
 from exitwalk.model import gamma as gamma_of
-from exitwalk.rng import substream
 
 
 def test_parse_params():
@@ -181,9 +180,8 @@ def test_validate_unknown_case():
 def test_validation_detects_corrupted_gamma():
     """Mutation check: biasing the thinning test must trip the validator."""
     model = sinusoidal_drift()
-    rng = substream(22, "mutation")
     rows = run_validation(
-        model, 3.0, 0.0, 7.0, 1.0, 7, 20_000, rng,
+        model, 3.0, 0.0, 7.0, 1.0, 7, 20_000, 22, "mutation",
         case="sin-corrupted", gamma_fn=lambda y: gamma_of(model, y) + 0.1,
     )
     assert any(r["status"] == "fail" for r in rows)
@@ -217,12 +215,12 @@ def test_config_error_exit_codes():
 
 
 def test_runaway_maps_to_exit_code_4(monkeypatch):
-    import exitwalk.cli as cli_mod
+    import exitwalk.parallel as parallel_mod
 
     def boom(*args, **kwargs):
         raise RunawayError("stuck")
 
-    monkeypatch.setattr(cli_mod, "diff_exit", boom)
+    monkeypatch.setattr(parallel_mod, "diff_exit", boom)
     assert main(["sample", "--model", "sin", "--M", "1"]) == 4
 
 

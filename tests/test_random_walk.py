@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 walk_mod = importlib.import_module("exitwalk.random_walk")
@@ -72,6 +72,7 @@ def test_grid_validation():
     n=st.integers(2, 40),
     frac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
+@example(a=0.0, width=0.96875, n=39, frac=0.9999999999999999)
 @settings(max_examples=200, deadline=None)
 def test_slice_cover_and_margin(a, width, n, frac):
     grid = SliceGrid(a, a + width, n)
@@ -90,6 +91,13 @@ def test_grid_points_match_slice_index():
     grid = SliceGrid(-1.3, 5.9, 13)
     for j in range(1, grid.n):
         assert slice_index(grid, grid.grid_point(j)) == j
+
+
+def test_start_just_below_b_lies_in_the_top_slice():
+    # a_hat + n*delta rounds below b_hat on this grid; the top grid point must be b_hat
+    assert SliceGrid(0.0, 0.96875, 39).grid_point(39) == 0.96875
+    rec = diff_exit(substream(1), BM, 0.96875 * 0.9999999999999999, 0.0, 0.96875, 1.0, 39)
+    assert rec.exit_location in (0.0, 0.96875)
 
 
 def test_two_slices_degenerate_to_full_interval():
