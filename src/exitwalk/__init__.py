@@ -19,7 +19,7 @@ from .bandit import (
     update,
 )
 from .bm_exit import BmExitSample, KernelEvaluation, absorbing_kernel, cond_bm, exit_bm, exit_time_cdf, hit_cdf
-from .box_exit import BoxOutcome, WorkCounter, box_exit
+from .box_exit import BoxOutcome, WorkCounter
 from .errors import (
     ConfigurationError,
     ConvergenceError,
@@ -43,17 +43,7 @@ from .model import (
     ornstein_uhlenbeck,
     sinusoidal_drift,
 )
-from .oracle import (
-    binomial_z,
-    chi_square_test,
-    euler_exit,
-    euler_exit_batch,
-    exit_probability,
-    ks_1sample,
-    ks_2sample,
-    ks_critical,
-    mean_exit_time,
-)
+from .oracle import exit_probability, mean_exit_time
 from .quadrature import QuadratureResult, adaptive_simpson
 from .random_walk import ExitRecord, SliceGrid, diff_exit, slice_bounds_table, slice_index, slice_interval
 from .rng import RandomStream, substream

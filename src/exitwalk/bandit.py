@@ -142,7 +142,6 @@ def bandit_diff_exit(
     M: int,
     reward: RewardModel = WORK_UNITS,
     schedule: str = "fixed",
-    gamma_fn=None,
 ) -> tuple[list[ExitRecord], BanditTrace]:
     """Run M exit simulations, choosing N by epsilon-greedy cost minimisation.
 
@@ -164,7 +163,7 @@ def bandit_diff_exit(
         eps_eff = state.epsilon_effective(it)
         arm = select_arm(state, rng)
         t0 = _time.perf_counter()
-        rec = diff_exit(rng, model, x, a, b, T, arm, bounds_table=tables[arm], gamma_fn=gamma_fn)
+        rec = diff_exit(rng, model, x, a, b, T, arm, bounds_table=tables[arm])
         dt = _time.perf_counter() - t0
         r = reward.extract(rec, dt)
         update(state, arm, r)

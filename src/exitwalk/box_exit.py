@@ -61,17 +61,15 @@ def box_exit(
     T: float = math.inf,
     *,
     bounds: IntervalBounds | None = None,
-    gamma_fn=None,
     work: WorkCounter | None = None,
     max_restarts: int = _MAX_RESTARTS,
 ) -> BoxOutcome:
     """Sample (tau_{l,u} ^ T, position) for the unit-diffusion process from x.
 
     ``bounds`` may be any valid (possibly conservative) interval bounds; they
-    are computed from the model when omitted.  ``gamma_fn`` overrides the
-    model's gamma evaluator in the thinning test (validation hook; the bounds
-    are never derived from it).  ``work`` lets a caller aggregate cost over
-    many rectangles; the returned outcome carries whichever counter was used.
+    are computed from the model when omitted.  ``work`` lets a caller
+    aggregate cost over many rectangles; the returned outcome carries
+    whichever counter was used.
     """
     if not (l < x < u):
         raise ValueError(f"need l < x < u, got l={l!r}, x={x!r}, u={u!r}")
@@ -83,8 +81,7 @@ def box_exit(
     g_range = bounds.gamma_range
     log_bsup = bounds.log_beta_sup
     check_horizon(T, (bounds,))
-    if gamma_fn is None:
-        gamma_fn = model.gamma_fn
+    gamma = model.gamma_fn
     anti = model.mu0_antiderivative
     w = work if work is not None else WorkCounter()
     # per-rectangle constants: normalised coordinates and endpoint log margins
@@ -133,7 +130,7 @@ def box_exit(
                 n_cond += 1
                 n_uni += 1
                 y = l + yn * width
-                if l < y < u and g_range * uniform() > gamma_fn(y) - g_inf:
+                if l < y < u and g_range * uniform() > gamma(y) - g_inf:
                     z = yn
                     elapsed = t_thin
                     continue

@@ -6,7 +6,6 @@ sample        fixed-N exit simulations, one CSV row per replication
 sweep         cost profile over N in {N_min, ..., N0}, one row per N
 bandit        epsilon-greedy tuned run; trace CSV plus per-arm summary CSV
 validate      oracle-vs-empirical comparison table, nonzero exit on failure
-kernel-check  CDF table dump for test tooling (hidden)
 
 All randomness derives from --seed through named substreams, so identical
 configuration and seed produce byte-identical CSV.  sample, sweep and validate
@@ -30,7 +29,6 @@ import numpy as np
 
 from . import bandit as bandit_mod
 from . import oracle
-from .bm_exit import exit_time_cdf, hit_cdf
 from .errors import ConfigurationError, ExitwalkError, RunawayError
 from .model import DiffusionModel, brownian, build_model
 from .parallel import run_replications
@@ -67,7 +65,6 @@ class ExperimentConfig:
     schedule: str = "fixed"
     out: str | None = None
     timing: bool = False
-    single_box: bool = False
     cases: tuple = tuple(_VALIDATION_CASES)
 
     def validate(self) -> None:
@@ -77,6 +74,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"need T > 0 (or 'inf'), got {self.T}")
         if self.M < 1:
             raise ConfigurationError(f"need M >= 1, got {self.M}")
+        if self.command == "validate" and self.M < 2:
+            raise ConfigurationError(f"validate needs M >= 2 for a standard error, got {self.M}")
         if self.N < 2:
             raise ConfigurationError(f"need N >= 2, got {self.N}")
         if self.command == "sweep" and not (2 <= self.N_min <= self.N0 <= 64):
@@ -153,7 +152,6 @@ _CONFIG_PARSERS = {
     "schedule": str,
     "out": str,
     "timing": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "single_box": lambda s: s.lower() in ("1", "true", "yes", "on"),
     "cases": lambda s: tuple(c.strip() for c in s.split(",") if c.strip()),
 }
 
@@ -209,8 +207,7 @@ def _wall_ms(cfg: ExperimentConfig, out: dict) -> np.ndarray:
 
 def cmd_sample(cfg: ExperimentConfig) -> int:
     model = _build_model(cfg)
-    n_slices = 2 if cfg.single_box else cfg.N
-    out = run_replications(model, cfg.x, cfg.a, cfg.b, cfg.T, n_slices, cfg.M, cfg.seed, tag="sample")
+    out = run_replications(model, cfg.x, cfg.a, cfg.b, cfg.T, cfg.N, cfg.M, cfg.seed, tag="sample")
     writer = _Writer(cfg.out)
     writer.raw(f"{SCHEMA_PREFIX}.sample v1")
     _model_header(writer, cfg, model)
@@ -224,7 +221,7 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
     ]
     columns.append(_wall_ms(cfg, out).tolist())
     for i, row in enumerate(zip(*columns)):
-        writer.line(i, *row, n_slices, cfg.T)
+        writer.line(i, *row, cfg.N, cfg.T)
     writer.done()
     times = out["time"]
     mean = float(times.mean())
@@ -296,12 +293,12 @@ def cmd_bandit(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def run_validation(model, x, a, b, T, N, n, seed, tag, case="case", gamma_fn=None) -> list[dict]:
+def run_validation(model, x, a, b, T, N, n, seed, tag, case="case") -> list[dict]:
     """Empirical diff_exit moments vs quadrature oracles; one dict per check.
 
     Replication i draws from substream(seed, tag, i).
     """
-    out = run_replications(model, x, a, b, T, N, n, seed, tag=tag, gamma_fn=gamma_fn)
+    out = run_replications(model, x, a, b, T, N, n, seed, tag=tag)
     times = out["time"]
     p_oracle = oracle.exit_probability(model, x, a, b)
     t_oracle = oracle.mean_exit_time(model, x, a, b)
@@ -362,31 +359,11 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_kernel_check(cfg: ExperimentConfig) -> int:
-    if math.isinf(cfg.T):
-        raise ConfigurationError("kernel-check needs a finite T")
-    writer = _Writer(cfg.out)
-    writer.raw(f"{SCHEMA_PREFIX}.kernel-check v1")
-    writer.line("kind", "arg", "value")
-    for i in range(1, cfg.M + 1):
-        t = i * cfg.T / cfg.M
-        writer.line("exit_cdf", t, exit_time_cdf(cfg.x, cfg.a, cfg.b, t))
-    for i in range(1, cfg.M + 1):
-        t = i * cfg.T / cfg.M
-        writer.line("hit_cdf_upper", t, hit_cdf(cfg.x, cfg.a, cfg.b, t, "upper"))
-    for i in range(1, cfg.M + 1):
-        t = i * cfg.T / cfg.M
-        writer.line("hit_cdf_lower", t, hit_cdf(cfg.x, cfg.a, cfg.b, t, "lower"))
-    writer.done()
-    return 0
-
-
 _COMMANDS = {
     "sample": cmd_sample,
     "sweep": cmd_sweep,
     "bandit": cmd_bandit,
     "validate": cmd_validate,
-    "kernel-check": cmd_kernel_check,
 }
 
 
@@ -412,8 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="fixed-N exit simulations")
     _add_common(p)
     p.add_argument("--N", type=int, help="slicing parameter (>= 2)")
-    p.add_argument("--single-box", action="store_true", default=None,
-                   help="plain rectangle iteration on the whole interval (equivalent to N=2)")
 
     p = sub.add_parser("sweep", help="cost profile over N in {N_min..N0}")
     _add_common(p)
@@ -430,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="oracle-vs-empirical comparison table")
     _add_common(p)
     p.add_argument("--cases", help="comma-separated subset of " + ",".join(_VALIDATION_CASES))
-
-    p = sub.add_parser("kernel-check")  # test tooling; deliberately undocumented
-    _add_common(p)
 
     return top
 

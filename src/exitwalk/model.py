@@ -60,13 +60,7 @@ class DiffusionModel:
     # exact extrema hooks; None means grid maximisation with a safety pad
     gamma_extrema: Optional[Callable[[float, float], tuple[float, float]]] = None
     log_beta_max: Optional[Callable[[float, float], float]] = None
-    # vectorised coefficients for reference schemes (optional)
-    drift_vec: Optional[Callable] = None
-    diffusion_vec: Optional[Callable] = None
     antiderivative_tol: Optional[float] = None
-
-    def param_dict(self) -> dict[str, float]:
-        return dict(self.params)
 
     @cached_property
     def gamma_fn(self) -> Callable[[float], float]:
@@ -250,16 +244,12 @@ def brownian() -> DiffusionModel:
         lamperti_inverse=_identity,
         gamma_extrema=lambda l, u: (0.0, 0.0),
         log_beta_max=lambda l, u: 0.0,
-        drift_vec=lambda x: 0.0 * x,
-        diffusion_vec=lambda x: 1.0 + 0.0 * x,
     )
 
 
 def sinusoidal_drift() -> DiffusionModel:
     """Unit diffusion with drift 2 + sin(x); gamma >= 0 everywhere, so an
     infinite horizon is admissible on any interval."""
-    import numpy as np
-
     return DiffusionModel(
         name="sin",
         drift=lambda x: 2.0 + math.sin(x),
@@ -269,8 +259,6 @@ def sinusoidal_drift() -> DiffusionModel:
         mu0_antiderivative=lambda x: 2.0 * x + 1.0 - math.cos(x),
         lamperti=_identity,
         lamperti_inverse=_identity,
-        drift_vec=lambda x: 2.0 + np.sin(x),
-        diffusion_vec=lambda x: 1.0 + 0.0 * x,
     )
 
 
@@ -301,8 +289,6 @@ def ornstein_uhlenbeck(lam: float) -> DiffusionModel:
         params=(("lambda", lam),),
         gamma_extrema=gamma_extrema,
         log_beta_max=log_beta_max,
-        drift_vec=lambda x: -lam * x,
-        diffusion_vec=lambda x: 1.0 + 0.0 * x,
     )
 
 
@@ -311,10 +297,13 @@ def cox_ingersoll_ross(k: float, theta: float, sigma: float) -> DiffusionModel:
 
     The change of variables is S(x) = 2 sqrt(x)/sigma; the transformed drift is
     mu0(x) = rho/x - k x/2 with rho = (4 k theta - sigma^2) / (2 sigma^2).
-    Construction requires rho > 0 (process stays strictly positive).
+    Construction requires finite k, theta, sigma and rho > 0 (process stays
+    strictly positive).
     """
-    import numpy as np
-
+    if not all(math.isfinite(v) for v in (k, theta, sigma)):
+        raise ConfigurationError(
+            f"cir requires finite k, theta, sigma, got k={k!r}, theta={theta!r}, sigma={sigma!r}"
+        )
     if sigma <= 0.0 or k <= 0.0:
         raise ConfigurationError(f"cir requires k > 0 and sigma > 0, got k={k!r}, sigma={sigma!r}")
     rho = (4.0 * k * theta - sigma * sigma) / (2.0 * sigma * sigma)
@@ -334,8 +323,6 @@ def cox_ingersoll_ross(k: float, theta: float, sigma: float) -> DiffusionModel:
         lamperti_inverse=lambda y: (0.5 * sigma * y) ** 2,
         domain=(0.0, math.inf),
         params=(("k", k), ("theta", theta), ("sigma", sigma), ("rho", rho)),
-        drift_vec=lambda x: k * (theta - x),
-        diffusion_vec=lambda x: sigma * np.sqrt(x),
     )
 
 

@@ -1,4 +1,4 @@
-"""Independent ground-truth machinery and statistical test helpers.
+"""Independent ground-truth exit probabilities and mean exit times.
 
 Exit-side probabilities come from the scale function (s' proportional to
 exp(-2 * integral of the drift)), mean exit times from the Green-function
@@ -7,10 +7,7 @@ both by nested adaptive Simpson quadrature.  Scale integrands are evaluated
 with a running max-shift in log space because exp(-2A) spans hundreds of
 orders of magnitude on wide intervals, and every piece of the Green formula
 is an integral of a positive integrand, so nothing is obtained by differencing
-near-equal scale values.  An Euler-Maruyama scheme with its documented
-O(sqrt(dt)) boundary bias serves as a cross-check of a different kind, and
-small Kolmogorov-Smirnov / z-score / chi-square helpers back the
-distributional assertions used throughout the test suite.
+near-equal scale values.
 """
 
 from __future__ import annotations
@@ -18,12 +15,9 @@ from __future__ import annotations
 import bisect
 import math
 
-import numpy as np
-
 from .errors import ConvergenceError
 from .model import DiffusionModel, lamperti_forward
-from .quadrature import QuadratureResult, adaptive_simpson  # noqa: F401  (re-export)
-from .rng import RandomStream
+from .quadrature import adaptive_simpson
 
 _PROBES = 257
 _MAX_EXPONENT = 700.0
@@ -183,185 +177,3 @@ def mean_exit_time(
     j1 = _integrate_rel(j1_integrand, lo, mid, rel)
     j2 = _integrate_rel(j2_integrand, mid, hi, rel)
     return 2.0 * (p1 * j1 + p0 * j2) / (p0 + p1)
-
-
-# ---------------------------------------------------------------------------
-# Euler-Maruyama reference scheme (biased; cross-check only)
-# ---------------------------------------------------------------------------
-
-
-def euler_exit(rng: RandomStream, model: DiffusionModel, x: float, a: float, b: float, dt: float):
-    """One Euler path until the first grid point outside [a, b].
-
-    Carries the usual O(sqrt(dt)) boundary-detection bias; the exit location
-    is reported as the crossed endpoint.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"need dt > 0, got {dt!r}")
-    drift = model.drift
-    diff = model.diffusion
-    sq = math.sqrt(dt)
-    pos = x
-    steps = 0
-    while True:
-        pos = pos + drift(pos) * dt + diff(pos) * sq * rng.normal()
-        steps += 1
-        if pos < a:
-            return steps * dt, a
-        if pos > b:
-            return steps * dt, b
-
-
-def euler_exit_batch(
-    rng: RandomStream,
-    model: DiffusionModel,
-    x: float,
-    a: float,
-    b: float,
-    dt: float,
-    n: int,
-    t_max: float = math.inf,
-):
-    """Vectorised Euler paths; paths alive at t_max get time t_max, location nan."""
-    if dt <= 0.0:
-        raise ValueError(f"need dt > 0, got {dt!r}")
-    drift = model.drift_vec if model.drift_vec is not None else np.vectorize(model.drift)
-    diff = model.diffusion_vec if model.diffusion_vec is not None else np.vectorize(model.diffusion)
-    sq = math.sqrt(dt)
-    pos = np.full(n, float(x))
-    alive = np.arange(n)
-    times = np.full(n, float(t_max))
-    locs = np.full(n, math.nan)
-    step = 0
-    max_steps = math.inf if math.isinf(t_max) else int(math.ceil(t_max / dt - 1e-12))
-    while alive.size and step < max_steps:
-        step += 1
-        pos = pos + drift(pos) * dt + diff(pos) * sq * rng.normal_array(alive.size)
-        below = pos < a
-        gone = below | (pos > b)
-        if gone.any():
-            idx = alive[gone]
-            times[idx] = step * dt
-            locs[idx] = np.where(below[gone], a, b)
-            keep = ~gone
-            alive = alive[keep]
-            pos = pos[keep]
-    return times, locs
-
-
-# ---------------------------------------------------------------------------
-# statistical helpers
-# ---------------------------------------------------------------------------
-
-
-def kolmogorov_sf(lam: float) -> float:
-    """Asymptotic survival function of the Kolmogorov statistic."""
-    if lam <= 0.0:
-        return 1.0
-    s = 0.0
-    for k in range(1, 101):
-        term = math.exp(-2.0 * k * k * lam * lam)
-        s += term if k % 2 == 1 else -term
-        if term < 1e-18:
-            break
-    return min(max(2.0 * s, 0.0), 1.0)
-
-
-def ks_2sample(sample_a, sample_b) -> tuple[float, float]:
-    """Two-sample KS statistic and asymptotic p-value (with the small-sample factor)."""
-    a = np.sort(np.asarray(sample_a, dtype=float))
-    b = np.sort(np.asarray(sample_b, dtype=float))
-    na, nb = len(a), len(b)
-    if na == 0 or nb == 0:
-        raise ValueError("samples must be nonempty")
-    allv = np.concatenate([a, b])
-    cdf_a = np.searchsorted(a, allv, side="right") / na
-    cdf_b = np.searchsorted(b, allv, side="right") / nb
-    d = float(np.max(np.abs(cdf_a - cdf_b)))
-    en = math.sqrt(na * nb / (na + nb))
-    return d, kolmogorov_sf((en + 0.12 + 0.11 / en) * d)
-
-
-def ks_1sample(sample, cdf) -> tuple[float, float]:
-    """One-sample KS distance to a CDF callable, with asymptotic p-value."""
-    xs = np.sort(np.asarray(sample, dtype=float))
-    n = len(xs)
-    if n == 0:
-        raise ValueError("sample must be nonempty")
-    f = np.array([cdf(v) for v in xs])
-    lo = np.max(np.abs(f - np.arange(0, n) / n))
-    hi = np.max(np.abs(f - np.arange(1, n + 1) / n))
-    d = float(max(lo, hi))
-    en = math.sqrt(n)
-    return d, kolmogorov_sf((en + 0.12 + 0.11 / en) * d)
-
-
-def ks_critical(n: int, alpha: float = 0.01) -> float:
-    """Asymptotic one-sample critical distance sqrt(-ln(alpha/2)/2) / sqrt(n)."""
-    return math.sqrt(-0.5 * math.log(alpha / 2.0)) / math.sqrt(n)
-
-
-def binomial_z(successes: int, n: int, p0: float) -> float:
-    """Exact-variance z-score of a success count against probability p0."""
-    if n <= 0:
-        raise ValueError("need n > 0")
-    var = p0 * (1.0 - p0)
-    if var == 0.0:
-        return 0.0 if successes == round(n * p0) else math.inf
-    return (successes / n - p0) / math.sqrt(var / n)
-
-
-def _regularized_gamma_q(s: float, x: float) -> float:
-    """Q(s, x) = Gamma(s, x)/Gamma(s) by lower series / Lentz continued fraction."""
-    if x < 0.0 or s <= 0.0:
-        raise ValueError("need x >= 0 and s > 0")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        term = 1.0 / s
-        total = term
-        k = s
-        for _ in range(10_000):
-            k += 1.0
-            term *= x / k
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        p = total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-        return min(max(1.0 - p, 0.0), 1.0)
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, 10_000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    q = f * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    return min(max(q, 0.0), 1.0)
-
-
-def chi_square_test(observed, probs) -> tuple[float, float]:
-    """Pearson chi-square of observed counts against cell probabilities."""
-    obs = np.asarray(observed, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    if obs.shape != p.shape or obs.ndim != 1:
-        raise ValueError("observed and probs must be 1-d and matched")
-    n = obs.sum()
-    exp = n * p
-    if np.any(exp <= 0.0):
-        raise ValueError("all expected counts must be positive")
-    stat = float(np.sum((obs - exp) ** 2 / exp))
-    dof = len(obs) - 1
-    return stat, _regularized_gamma_q(dof / 2.0, stat / 2.0)

@@ -34,10 +34,10 @@ _COLUMNS = (
 
 def _run_chunk(bounds):
     lo, hi = bounds
-    model, x, a, b, T, N, seed, tag, gamma_fn = _CASE
+    model, x, a, b, T, N, seed, tag = _CASE
     rows = []
     for i in range(lo, hi):
-        rec = diff_exit(substream(seed, tag, i), model, x, a, b, T, N, gamma_fn=gamma_fn)
+        rec = diff_exit(substream(seed, tag, i), model, x, a, b, T, N)
         w = rec.work
         rows.append((
             rec.exit_time, rec.exit_location, w.total(), rec.steps, w.restarts,
@@ -46,9 +46,7 @@ def _run_chunk(bounds):
     return rows
 
 
-def run_replications(
-    model, x, a, b, T, N, n, seed, tag="rep", processes=None, gamma_fn=None
-) -> dict[str, np.ndarray]:
+def run_replications(model, x, a, b, T, N, n, seed, tag="rep", processes=None) -> dict[str, np.ndarray]:
     """n independent exit simulations, one array entry per replication.
 
     Keys: time, location, wall_time (float64) and work, steps, restarts,
@@ -58,7 +56,7 @@ def run_replications(
     global _CASE
     if processes is None:
         processes = os.cpu_count() or 1
-    _CASE = (model, x, a, b, T, N, seed, tag, gamma_fn)
+    _CASE = (model, x, a, b, T, N, seed, tag)
     try:
         if processes <= 1 or n < 64 or mp.get_start_method(allow_none=True) not in (None, "fork"):
             parts = [_run_chunk((0, n))]

@@ -101,7 +101,6 @@ def diff_exit(
     N: int,
     *,
     bounds_table: tuple[IntervalBounds, ...] | None = None,
-    gamma_fn=None,
     max_steps: int = _MAX_STEPS,
 ) -> ExitRecord:
     """Exit time and location of the original diffusion from (a, b), started at x.
@@ -137,9 +136,7 @@ def diff_exit(
     while True:
         i = _index(grid, pos)
         lo, hi = slice_interval(grid, i)
-        out: BoxOutcome = box_exit(
-            rng, model, pos, lo, hi, T, bounds=bounds_table[i - 1], gamma_fn=gamma_fn, work=work
-        )
+        out: BoxOutcome = box_exit(rng, model, pos, lo, hi, T, bounds=bounds_table[i - 1], work=work)
         steps += 1
         elapsed += out.time
         if out.exited:

@@ -83,11 +83,6 @@ class RandomStream:
         # uniform() is in (0, 1), so log1p(-u) < 0 strictly and the result is positive
         return -math.log1p(-self.uniform()) / rate
 
-    def normal_array(self, n: int) -> np.ndarray:
-        """Unbuffered batch of standard normals (for vectorised reference schemes)."""
-        self.draws += n
-        return self._gen.standard_normal(n)
-
 
 def substream(seed: int, *path) -> RandomStream:
     """Stream for (seed, *path); path parts are purpose names or indices."""

@@ -13,7 +13,9 @@ import pytest
 
 import exitwalk as ew
 from exitwalk.bandit import BanditState, WORK_UNITS, bandit_diff_exit, select_arm, update
+from exitwalk.box_exit import box_exit
 from exitwalk.parallel import run_replications
+from stat_helpers import binomial_z, chi_square_test, ks_1sample, ks_2sample, ks_critical
 
 SIN = ew.sinusoidal_drift()
 OU1 = ew.ornstein_uhlenbeck(1.0)
@@ -61,9 +63,9 @@ def test_criterion_1_brownian_kernel_exactness():
             times[i] = s.time
             upper += s.side == "upper"
         p = (x - l) / (u - l)
-        z = ew.binomial_z(upper, n, p)
-        d, _ = ew.ks_1sample(times, lambda t: ew.exit_time_cdf(x, l, u, t))
-        crit = ew.ks_critical(n, 0.01)
+        z = binomial_z(upper, n, p)
+        d, _ = ks_1sample(times, lambda t: ew.exit_time_cdf(x, l, u, t))
+        crit = ks_critical(n, 0.01)
         if abs(z) > 3.0 or d >= crit:
             failures.append((case, z, d))
         details.append(f"{abs(z):.2f}/{d / crit:.2f}")
@@ -81,7 +83,7 @@ def test_criterion_2_zero_drift_collapse():
     pos = np.empty(n)
     exited = np.zeros(n, dtype=bool)
     for i in range(n):
-        o = ew.box_exit(rng, BM, x, l, u, T)
+        o = box_exit(rng, BM, x, l, u, T)
         times[i], pos[i], exited[i] = o.time, o.position, o.exited
     rng2 = ew.substream(200, "c2-ref")
     ref_t = np.empty(n)
@@ -95,7 +97,7 @@ def test_criterion_2_zero_drift_collapse():
             ref_exit[i] = True
         else:
             ref_t[i] = T
-    _, p_times = ew.ks_2sample(times, ref_t)
+    _, p_times = ks_2sample(times, ref_t)
     k1 = int((pos[exited] == u).sum())
     n1 = int(exited.sum())
     k2 = int(ref_up.sum())
@@ -150,7 +152,7 @@ def test_criterion_4_law_invariance():
     ok = True
     for i in range(len(keys)):
         for j in range(i + 1, len(keys)):
-            _, p = ew.ks_2sample(samples[keys[i]]["time"], samples[keys[j]]["time"])
+            _, p = ks_2sample(samples[keys[i]]["time"], samples[keys[j]]["time"])
             ps.append(p)
             ok = ok and p > 0.01
     _report(4, "law invariance in N and T", ok, f"min KS p over {len(ps)} pairs = {min(ps):.4f}", t0)
@@ -169,13 +171,13 @@ def test_criterion_5_conservative_bounds_invariance():
         loc = np.empty(n)
         work = np.empty(n)
         for i in range(n):
-            o = ew.box_exit(rng, OU1, 0.5, 0.0, 1.0, 1.0, bounds=bd)
+            o = box_exit(rng, OU1, 0.5, 0.0, 1.0, 1.0, bounds=bd)
             t[i], loc[i], work[i] = o.time, o.position, o.work.total()
         return t, loc, work
 
     t1, loc1, w1 = run("tight", bounds)
     t2, loc2, w2 = run("loose", inflated)
-    _, p = ew.ks_2sample(t1, t2)
+    _, p = ks_2sample(t1, t2)
     k1, k2 = int((loc1 == 1.0).sum()), int((loc2 == 1.0).sum())
     pooled = (k1 + k2) / (2 * n)
     z = (k1 / n - k2 / n) / math.sqrt(2 * pooled * (1 - pooled) / n)
@@ -211,7 +213,7 @@ def test_criterion_7_bandit_selection_law():
     counts = np.zeros(state.n_arms)
     for _ in range(n):
         counts[select_arm(state, rng) - 2] += 1
-    stat, p = ew.chi_square_test(counts, state.selection_probabilities())
+    stat, p = chi_square_test(counts, state.selection_probabilities())
 
     rng2 = ew.substream(700, "c7-synth")
     s2 = BanditState(n0=21, epsilon=0.1)

@@ -10,15 +10,14 @@ from exitwalk import (
     WORK_UNITS,
     bandit_diff_exit,
     brownian,
-    chi_square_test,
     diff_exit,
-    ks_2sample,
     ornstein_uhlenbeck,
     reward_model,
     select_arm,
     substream,
     update,
 )
+from stat_helpers import chi_square_test, ks_2sample
 
 OU1 = ornstein_uhlenbeck(1.0)
 BM = brownian()

@@ -11,9 +11,6 @@ from exitwalk import (
     exit_bm,
     exit_time_cdf,
     hit_cdf,
-    ks_1sample,
-    ks_2sample,
-    ks_critical,
     substream,
 )
 from exitwalk.bm_exit import (
@@ -24,6 +21,7 @@ from exitwalk.bm_exit import (
     _survival_bounds,
     _T_CROSS,
 )
+from stat_helpers import ks_1sample, ks_2sample, ks_critical
 
 
 def _sample_exits(seed, x, l, u, n):

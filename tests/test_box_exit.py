@@ -1,33 +1,33 @@
-import importlib
 import math
+import types
 
 import numpy as np
 import pytest
 
-box_mod = importlib.import_module("exitwalk.box_exit")
+import exitwalk.box_exit as box_mod
 from exitwalk import (
     ConfigurationError,
     RunawayError,
     WorkCounter,
-    binomial_z,
-    box_exit,
     brownian,
     compute_bounds,
     cond_bm,
     exit_bm,
     exit_time_cdf,
-    ks_2sample,
     ornstein_uhlenbeck,
     sinusoidal_drift,
     substream,
 )
+from exitwalk.box_exit import box_exit
+from stat_helpers import binomial_z, corrupt_gamma, ks_2sample
 
 BM = brownian()
 OU1 = ornstein_uhlenbeck(1.0)
 SIN = sinusoidal_drift()
 
 # frozen reference scheme run: OU lambda=1 on [0,7] from 3, horizon 0.5,
-# Euler-Maruyama dt=1e-5, n=1e5 (seed path (101, 'euler', 'box'))
+# Euler-Maruyama dt=1e-5, n=1e5 (seed path (101, 'euler', 'box')); the scheme
+# has since been removed from the package, so the constants stay frozen
 EULER_BOX_P_EXIT = 0.00107
 EULER_BOX_P_EXIT_N = 100_000
 EULER_BOX_LOWER_SHARE = 1.0
@@ -152,18 +152,18 @@ def test_gamma_override_hook_biases_the_law():
     rng = substream(14, "hooka")
     base = np.array([box_exit(rng, SIN, 3.0, 2.0, 4.0, math.inf).time for _ in range(n)])
     rng = substream(14, "hookb")
-    from exitwalk.model import gamma as gamma_of
-
-    corrupted = np.array(
-        [
-            box_exit(
-                rng, SIN, 3.0, 2.0, 4.0, math.inf, gamma_fn=lambda y: gamma_of(SIN, y) + 5.0
-            ).time
-            for _ in range(n)
-        ]
-    )
+    bad = corrupt_gamma(SIN, 5.0)
+    corrupted = np.array([box_exit(rng, bad, 3.0, 2.0, 4.0, math.inf).time for _ in range(n)])
     # extra killing at rate 5 per unit time tilts toward short excursions
     assert corrupted.mean() < 0.9 * base.mean()
+
+
+def test_box_exit_submodule_is_not_shadowed(monkeypatch):
+    # the package must not re-export the function under its module's name
+    assert isinstance(box_mod, types.ModuleType)
+    monkeypatch.setattr("exitwalk.box_exit._exit_bm_norm", lambda rng, z: (0.25, True))
+    out = box_exit(substream(18, "patched"), BM, 0.5, 0.0, 1.0, 1.0)
+    assert (out.time, out.position, out.exited) == (0.25, 1.0, True)
 
 
 def test_work_cap_raises_runaway():

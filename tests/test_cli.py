@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from exitwalk import RunawayError, exit_time_cdf, hit_cdf, sinusoidal_drift
+from exitwalk import RunawayError, sinusoidal_drift
 from exitwalk.cli import (
     ExperimentConfig,
     load_config_file,
@@ -12,7 +12,7 @@ from exitwalk.cli import (
     run_validation,
     _parse_T,
 )
-from exitwalk.model import gamma as gamma_of
+from stat_helpers import corrupt_gamma
 
 
 def test_parse_params():
@@ -89,15 +89,6 @@ def test_sample_wall_ms_zero_without_timing(tmp_path):
           "--T", "1", "--N", "7", "--M", "5", "--seed", "5", "--out", str(out)])
     rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
     assert all(row.split(",")[7] == "0.0" for row in rows)
-
-
-def test_single_box_flag(tmp_path):
-    out = tmp_path / "s.csv"
-    rc = main(["sample", "--model", "sin", "--a", "0", "--b", "7", "--x", "3",
-               "--T", "1", "--single-box", "--M", "5", "--seed", "3", "--out", str(out)])
-    assert rc == 0
-    rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
-    assert all(row.split(",")[8] == "2" for row in rows)  # N column
 
 
 def test_infinite_horizon_only_for_admissible_drift(tmp_path):
@@ -179,10 +170,9 @@ def test_validate_unknown_case():
 
 def test_validation_detects_corrupted_gamma():
     """Mutation check: biasing the thinning test must trip the validator."""
-    model = sinusoidal_drift()
     rows = run_validation(
-        model, 3.0, 0.0, 7.0, 1.0, 7, 20_000, 22, "mutation",
-        case="sin-corrupted", gamma_fn=lambda y: gamma_of(model, y) + 0.1,
+        corrupt_gamma(sinusoidal_drift(), 0.1), 3.0, 0.0, 7.0, 1.0, 7, 20_000, 22, "mutation",
+        case="sin-corrupted",
     )
     assert any(r["status"] == "fail" for r in rows)
     # the extra killing rate tilts toward short excursions: the time row trips
@@ -191,27 +181,25 @@ def test_validation_detects_corrupted_gamma():
     assert time_row["observed"] < time_row["expected"]
 
 
-def test_kernel_check_matches_direct_evaluation(tmp_path):
-    out = tmp_path / "k.csv"
-    rc = main(["kernel-check", "--a", "0", "--b", "1", "--x", "0.3", "--T", "0.6",
-               "--M", "4", "--out", str(out)])
-    assert rc == 0
-    rows = [ln.split(",") for ln in out.read_text().splitlines()[2:]]
-    for kind, arg, value in rows:
-        t = float(arg)
-        if kind == "exit_cdf":
-            assert float(value) == pytest.approx(exit_time_cdf(0.3, 0.0, 1.0, t), abs=1e-12)
-        elif kind == "hit_cdf_upper":
-            assert float(value) == pytest.approx(hit_cdf(0.3, 0.0, 1.0, t, "upper"), abs=1e-12)
-        else:
-            assert float(value) == pytest.approx(hit_cdf(0.3, 0.0, 1.0, t, "lower"), abs=1e-12)
-
-
 def test_config_error_exit_codes():
     assert main(["sample", "--model", "sin", "--a", "3", "--b", "1", "--x", "2"]) == 2
     assert main(["sample", "--model", "sin", "--T", "-1"]) == 2
     assert main(["sample", "--model", "sin", "--params", "k=1"]) == 2
     assert main(["bandit", "--model", "sin", "--epsilon", "2"]) == 2
+
+
+def test_validate_single_replication_is_config_error():
+    # one replication has no standard error, so there is nothing to validate against
+    assert main(["validate", "--cases", "zero", "--M", "1"]) == 2
+
+
+@pytest.mark.parametrize("bad", ["k", "theta", "sigma"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cir_non_finite_params_are_config_errors(bad, value):
+    params = {"k": "3", "theta": "7", "sigma": "1", bad: value}
+    text = ",".join(f"{k}={v}" for k, v in params.items())
+    assert main(["sample", "--model", "cir", "--params", text, "--a", "1", "--b", "6",
+                 "--x", "3", "--T", "0.5", "--N", "8", "--M", "2", "--seed", "4"]) == 2
 
 
 def test_runaway_maps_to_exit_code_4(monkeypatch):

@@ -178,7 +178,7 @@ def test_make_model_quadrature_backed_antiderivative():
 
 def test_build_model_registry():
     assert build_model("sin", {}).name == "sin"
-    assert build_model("ou", {"lambda": 2.0}).param_dict()["lambda"] == 2.0
+    assert dict(build_model("ou", {"lambda": 2.0}).params)["lambda"] == 2.0
     assert build_model("cir", {"k": 3.0, "theta": 7.0, "sigma": 1.0}).name == "cir"
     with pytest.raises(ConfigurationError):
         build_model("nope", {})

@@ -6,22 +6,23 @@ import pytest
 from exitwalk import (
     ConvergenceError,
     adaptive_simpson,
-    binomial_z,
     brownian,
-    chi_square_test,
     cox_ingersoll_ross,
-    euler_exit,
-    euler_exit_batch,
     exit_probability,
-    ks_1sample,
-    ks_2sample,
-    ks_critical,
     mean_exit_time,
     ornstein_uhlenbeck,
     sinusoidal_drift,
     substream,
 )
-from exitwalk.oracle import _regularized_gamma_q, kolmogorov_sf
+from stat_helpers import (
+    _regularized_gamma_q,
+    binomial_z,
+    chi_square_test,
+    kolmogorov_sf,
+    ks_1sample,
+    ks_2sample,
+    ks_critical,
+)
 
 BM = brownian()
 SIN = sinusoidal_drift()
@@ -128,62 +129,7 @@ def test_mean_exit_time_vanishes_at_boundaries():
 
 
 # ---------------------------------------------------------------------------
-# Euler reference scheme
-# ---------------------------------------------------------------------------
-
-
-def test_euler_zero_drift_mean_exit_time():
-    dt = 1e-5
-    n = 100_000
-    rng = substream(61, "euler0")
-    times, locs = euler_exit_batch(rng, BM, 0.5, 0.0, 1.0, dt, n)
-    tol = 3.0 * times.std() / math.sqrt(n) + (1.0 - 0.0) * math.sqrt(dt)
-    assert abs(times.mean() - 0.25) <= tol
-    assert abs(binomial_z(int((locs == 1.0).sum()), n, 0.5)) <= 3.5
-
-
-def test_euler_location_frequency_matches_scale_oracle():
-    dt = 1e-3
-    n = 5000
-    rng = substream(62, "eulerou")
-    _, locs = euler_exit_batch(rng, OU1, 3.0, 0.0, 7.0, dt, n)
-    p = exit_probability(OU1, 3.0, 0.0, 7.0)  # ~1e-17: every path exits at 0
-    freq = float((locs == 7.0).mean())
-    assert freq <= p + 3.0 * math.sqrt(0.25 / n) + math.sqrt(dt)
-
-
-def test_euler_bias_shrinks_with_dt():
-    n = 30_000
-    exact = 0.25
-    means = []
-    for dt in (3.2e-3, 2e-4):
-        rng = substream(63, "bias", int(dt * 1e6))
-        times, _ = euler_exit_batch(rng, BM, 0.5, 0.0, 1.0, dt, n)
-        means.append((times.mean(), times.std() / math.sqrt(n)))
-    coarse, fine = means
-    slack = 2.0 * math.hypot(coarse[1], fine[1])
-    assert abs(fine[0] - exact) <= abs(coarse[0] - exact) + slack
-
-
-def test_euler_scalar_matches_batch_distribution():
-    rng = substream(64, "scalar")
-    vals = np.array([euler_exit(rng, BM, 0.5, 0.0, 1.0, 1e-3)[0] for _ in range(4000)])
-    rng2 = substream(65, "batch")
-    batch, _ = euler_exit_batch(rng2, BM, 0.5, 0.0, 1.0, 1e-3, 4000)
-    _, p = ks_2sample(vals, batch)
-    assert p > 0.01
-
-
-def test_euler_validation():
-    rng = substream(66, "bad")
-    with pytest.raises(ValueError):
-        euler_exit(rng, BM, 0.5, 0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        euler_exit_batch(rng, BM, 0.5, 0.0, 1.0, -1e-3, 10)
-
-
-# ---------------------------------------------------------------------------
-# statistical helpers
+# statistical helpers (tests/stat_helpers.py)
 # ---------------------------------------------------------------------------
 
 

@@ -11,13 +11,10 @@ from exitwalk import (
     ConfigurationError,
     RunawayError,
     SliceGrid,
-    binomial_z,
-    box_exit,
     brownian,
     cox_ingersoll_ross,
     diff_exit,
     exit_probability,
-    ks_2sample,
     mean_exit_time,
     ornstein_uhlenbeck,
     sinusoidal_drift,
@@ -25,6 +22,8 @@ from exitwalk import (
     slice_interval,
     substream,
 )
+from exitwalk.box_exit import box_exit
+from stat_helpers import binomial_z, ks_2sample
 
 BM = brownian()
 SIN = sinusoidal_drift()
