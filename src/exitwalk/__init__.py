@@ -18,7 +18,7 @@ from .bandit import (
     select_arm,
     update,
 )
-from .bm_exit import BmExitSample, KernelEvaluation, absorbing_kernel, cond_bm, exit_bm, exit_time_cdf, hit_cdf
+from .bm_exit import BmExitSample, cond_bm, exit_bm, exit_time_cdf, hit_cdf
 from .box_exit import BoxOutcome, WorkCounter
 from .errors import (
     ConfigurationError,
@@ -38,7 +38,6 @@ from .model import (
     cox_ingersoll_ross,
     gamma,
     lamperti_forward,
-    lamperti_inverse,
     make_model,
     ornstein_uhlenbeck,
     sinusoidal_drift,

@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import ConvergenceError, DegenerateInputError
 from .rng import RandomStream
 
@@ -39,6 +41,10 @@ _HALF_PI2 = 0.5 * math.pi * math.pi
 _TAIL_ENV_SLACK = 1.25e-3
 _MAX_TERMS = 10**6
 _MAX_PROPOSALS = 10**7
+# a lane rejection loop hands its last few lanes to the scalar sampler
+_FEW_LANES = 16
+_TAIL_TRIES = 4  # normal-tail candidates per lane and pass
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -46,13 +52,6 @@ class BmExitSample:
     time: float
     side: str  # "lower" | "upper"
     location: float
-
-
-@dataclass(frozen=True)
-class KernelEvaluation:
-    lower_bound: float
-    upper_bound: float
-    terms_used: int
 
 
 def _phi(w: float, t: float) -> float:
@@ -404,24 +403,235 @@ def cond_bm(rng: RandomStream, x: float, l: float, u: float, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# deterministic evaluations (validation oracles and test tooling)
+# lane samplers: struct-of-arrays twins of the samplers above, same laws.
+# Their callers silence numpy's float warnings: a bound that overflows to inf
+# or nan only leaves its lane to the scalar sandwich or rejects a proposal.
 # ---------------------------------------------------------------------------
 
 
-def absorbing_kernel(
-    x: float, y: float, l: float, u: float, t: float, tolerance: float = 1e-12
-) -> KernelEvaluation:
-    """Sandwich bounds on the absorbing heat kernel q_t(x, y) on (l, u)."""
-    if not (l < x < u and l < y < u):
-        raise ValueError("x and y must lie strictly inside (l, u)")
-    if not t > 0.0:
-        raise ValueError(f"need t > 0, got {t!r}")
-    w = u - l
-    z = (x - l) / w
-    yn = (y - l) / w
-    tn = t / (w * w)
-    lo, hi, k = _resolve(lambda kk: _kernel_bounds(z, yn, tn, kk), tolerance * w)
-    return KernelEvaluation(lower_bound=lo / w, upper_bound=hi / w, terms_used=k)
+def _by_regime(image, image_fn, spectral_fn, *arrays):
+    """(lo, hi) from image_fn where ``image`` holds and from spectral_fn elsewhere."""
+    if image.all():
+        return image_fn(*arrays)
+    if not image.any():
+        return spectral_fn(*arrays)
+    (ilo, ihi), (slo, shi) = image_fn(*arrays), spectral_fn(*arrays)
+    return np.where(image, ilo, slo), np.where(image, ihi, shi)
+
+
+def _hit_density_k1_image(z, t):
+    inv2t = 0.5 / t
+    pref = 1.0 / np.sqrt(6.283185307179586 * t * t * t)
+    d0 = 1.0 - z
+    d1 = 1.0 + z
+    d2 = 3.0 - z
+    s1 = (d0 * np.exp(-d0 * d0 * inv2t) - d1 * np.exp(-d1 * d1 * inv2t)) * pref
+    return s1, s1 + d2 * np.exp(-d2 * d2 * inv2t) * pref
+
+
+def _hit_density_k1_spectral(z, t):
+    a = _HALF_PI2 * t
+    s1 = math.pi * np.sin(math.pi * z) * np.exp(-a)
+    r = np.exp(-4.0 * a)
+    tail = 6.283185307179586 * r / ((1.0 - r) * (1.0 - r))
+    return s1 - tail, s1 + tail
+
+
+def _hit_density_k1(z, t):
+    """The k=1 bounds of _accept_hit_density, lane by lane."""
+    return _by_regime(t <= _T_CROSS, _hit_density_k1_image, _hit_density_k1_spectral, z, t)
+
+
+def _kernel_k1_image(z, y, t):
+    inv2t = 0.5 / t
+    pref = 1.0 / np.sqrt(6.283185307179586 * t)
+    ymz = y - z
+    ypz = y + z
+    s = (
+        np.exp(-ymz * ymz * inv2t)
+        - np.exp(-ypz * ypz * inv2t)
+        + np.exp(-(ymz + 2.0) * (ymz + 2.0) * inv2t)
+        - np.exp(-(ypz + 2.0) * (ypz + 2.0) * inv2t)
+        + np.exp(-(ymz - 2.0) * (ymz - 2.0) * inv2t)
+        - np.exp(-(ypz - 2.0) * (ypz - 2.0) * inv2t)
+    ) * pref
+    tail = 4.0 * pref * np.exp(-4.0 * inv2t) / (1.0 - np.exp(-6.0 / t))
+    return s - tail, s + tail
+
+
+def _kernel_k1_spectral(z, y, t):
+    a = _HALF_PI2 * t
+    s = 2.0 * np.sin(math.pi * z) * np.sin(math.pi * y) * np.exp(-a)
+    tail = 2.0 * np.exp(-4.0 * a) / (1.0 - np.exp(-4.0 * a))
+    return s - tail, s + tail
+
+
+def _kernel_k1(z, y, t):
+    """The k=1 bounds of _accept_kernel, lane by lane."""
+    return _by_regime(t < _T_CROSS, _kernel_k1_image, _kernel_k1_spectral, z, y, t)
+
+
+def _decide(threshold, bounds, bound_fn, *args):
+    """Lanes with threshold <= series value; the scalar sandwich settles what the k=1 bounds leave open."""
+    lo, hi = bounds
+    accept = threshold <= lo
+    for k in (~accept & (threshold <= hi)).nonzero()[0].tolist():
+        lane = [float(a[k]) for a in args]
+        accept[k] = _sandwich_accept(float(threshold[k]), lambda kk: bound_fn(*lane, kk), 2)
+    return accept
+
+
+def _rejection_lanes(n: int, propose, finish, cap: float = math.inf, what: str = ""):
+    """Masked rejection loop over n lanes, compacting the lanes still open.
+
+    ``propose(idx)`` returns (accepted, values) for the open lanes ``idx``;
+    once at most _FEW_LANES remain, ``finish(k)`` samples lane k with the
+    scalar sampler.  Past ``cap`` rounds the loop raises ConvergenceError.
+    """
+    out = np.empty(n)
+    idx = np.arange(n)
+    rounds = 0
+    while len(idx) > _FEW_LANES:
+        rounds += 1
+        if rounds > cap:
+            raise ConvergenceError(f"{what} sampler stalled")
+        ok, values = propose(idx)
+        out[idx[ok]] = values[ok]
+        idx = idx[~ok]
+    for k in idx.tolist():
+        out[k] = finish(k)
+    return out
+
+
+def _first_accepted(ok, values):
+    """Per row, (any candidate accepted, the first accepted one): sequential rejection over the row."""
+    first = ok.argmax(axis=1)
+    rows = np.arange(len(ok))
+    return ok[rows, first], values[rows, first]
+
+
+def _normal_tail_lanes(rng: RandomStream, c):
+    """Lane twin of _sample_normal_tail: |N(0,1)| conditioned on >= c[k].
+
+    Each pass draws _TAIL_TRIES candidates per open lane and keeps the first
+    that passes, which is the scalar rejection loop run _TAIL_TRIES times.
+    """
+    out = np.empty(len(c))
+    small = c < 1.2
+    plain = small.nonzero()[0]
+    cp = c[plain]
+
+    def propose_plain(idx):
+        v = np.abs(rng.normals(len(idx) * _TAIL_TRIES)).reshape(len(idx), _TAIL_TRIES)
+        return _first_accepted(v >= cp[idx, None], v)
+
+    out[plain] = _rejection_lanes(len(plain), propose_plain, lambda k: _sample_normal_tail(rng, float(cp[k])))
+    rayleigh = (~small).nonzero()[0]
+    cr = c[rayleigh]
+
+    def propose_rayleigh(idx):
+        cc = cr[idx, None]
+        shape = (len(idx), _TAIL_TRIES)
+        y = np.sqrt(cc * cc + 2.0 * -np.log1p(-rng.uniforms(shape[0] * shape[1]).reshape(shape)))
+        return _first_accepted(rng.uniforms(shape[0] * shape[1]).reshape(shape) * y <= cc, y)
+
+    out[rayleigh] = _rejection_lanes(
+        len(rayleigh), propose_rayleigh, lambda k: _sample_normal_tail(rng, float(cr[k]))
+    )
+    return out
+
+
+def _sample_hit_time_lanes(rng: RandomStream, z):
+    """Lane twin of _sample_hit_time, with the same two-piece envelope."""
+    d0 = 1.0 - z
+    c_env = np.sin(math.pi * z) + _TAIL_ENV_SLACK
+    mass_head = _erfc(d0 / math.sqrt(2.0 * _T_HEAD)).astype(float)
+    total = mass_head + (2.0 * c_env / math.pi) * math.exp(-_HALF_PI2 * _T_HEAD)
+    trunc = d0 / math.sqrt(_T_HEAD)
+    pref = 0.3989422804014327  # 1/sqrt(2 pi)
+
+    def propose(idx):
+        m = len(idx)
+        t = np.empty(m)
+        env = np.empty(m)
+        head = rng.uniforms(m) * total[idx] < mass_head[idx]
+        h = head.nonzero()[0]
+        dh = d0[idx[h]]
+        v = _normal_tail_lanes(rng, trunc[idx[h]])
+        th = dh * dh / (v * v)
+        t[h] = th
+        env[h] = dh * np.exp(-dh * dh / (2.0 * th)) * pref / np.sqrt(th * th * th)
+        g = (~head).nonzero()[0]
+        tg = _T_HEAD + -np.log1p(-rng.uniforms(len(g))) / _HALF_PI2
+        t[g] = tg
+        env[g] = math.pi * c_env[idx[g]] * np.exp(-_HALF_PI2 * tg)
+        # a head proposal that underflows to t = 0 gets a nan envelope, and a
+        # nan threshold fails every comparison, so the lane just proposes again
+        threshold = rng.uniforms(m) * env
+        zi = z[idx]
+        return _decide(threshold, _hit_density_k1(zi, t), _hit_density_bounds, zi, t), t
+
+    return _rejection_lanes(len(z), propose, lambda k: _sample_hit_time(rng, float(z[k])))
+
+
+def _exit_bm_norm_lanes(rng: RandomStream, z):
+    """Lane twin of _exit_bm_norm: (normalised exit times, exited at the upper endpoint)."""
+    upper = rng.uniforms(len(z)) < z
+    return _sample_hit_time_lanes(rng, np.where(upper, z, 1.0 - z)), upper
+
+
+def _cond_bm_norm_lanes(rng: RandomStream, z, tn):
+    """Lane twin of _cond_bm_norm: normalised conditioned positions in (0, 1)."""
+    out = np.empty(len(z))
+    spectral = tn >= _T_CROSS
+    sp = spectral.nonzero()[0]
+    if len(sp):
+        zs = z[sp]
+        ts = tn[sp]
+        a = _HALF_PI2 * ts
+        sup_q = 2.0 * np.sin(math.pi * zs) * np.exp(-a) + 2.0 * np.exp(-4.0 * a) / (1.0 - np.exp(-4.0 * a))
+        low = (sup_q < 1e-300).nonzero()[0]
+        if len(low):
+            raise DegenerateInputError(f"survival probability underflow at normalised t={ts[low[0]]!r}")
+
+        def propose_spectral(idx):
+            y = rng.uniforms(len(idx))
+            threshold = rng.uniforms(len(idx)) * sup_q[idx]
+            zi, ti = zs[idx], ts[idx]
+            return _decide(threshold, _kernel_k1(zi, y, ti), _kernel_bounds, zi, y, ti), y
+
+        out[sp] = _rejection_lanes(
+            len(sp), propose_spectral, lambda k: _cond_bm_norm(rng, float(zs[k]), float(ts[k])),
+            _MAX_PROPOSALS, "conditioned-position (spectral regime)",
+        )
+    im = (~spectral).nonzero()[0]
+    if len(im):
+        zm = z[im]
+        tm = tn[im]
+        sd = np.sqrt(tm)
+        inv2t = 0.5 / tm
+        pref = 1.0 / np.sqrt(6.283185307179586 * tm)
+
+        def propose_image(idx):
+            zi = zm[idx]
+            ti = tm[idx]
+            y = zi + sd[idx] * rng.normals(len(idx))
+            d = y - zi
+            threshold = rng.uniforms(len(idx)) * pref[idx] * np.exp(-d * d * inv2t[idx])
+            # a nan threshold fails every comparison: proposals outside (0, 1) are rejected
+            threshold[(y <= 0.0) | (y >= 1.0)] = np.nan
+            return _decide(threshold, _kernel_k1(zi, y, ti), _kernel_bounds, zi, y, ti), y
+
+        out[im] = _rejection_lanes(
+            len(im), propose_image, lambda k: _cond_bm_norm(rng, float(zm[k]), float(tm[k])),
+            _MAX_PROPOSALS, "conditioned-position (image regime)",
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# deterministic evaluations (validation oracles)
+# ---------------------------------------------------------------------------
 
 
 def exit_time_cdf(x: float, l: float, u: float, t: float) -> float:

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .bm_exit import _cond_bm_norm, _exit_bm_norm
+import numpy as np
+
+from .bm_exit import _cond_bm_norm, _cond_bm_norm_lanes, _exit_bm_norm, _exit_bm_norm_lanes
 from .errors import RunawayError
 from .model import DiffusionModel, IntervalBounds, check_horizon, compute_bounds
 from .rng import RandomStream
@@ -146,3 +149,112 @@ def box_exit(
         w.cond_bm_calls += n_cond
         w.exp_draws += n_exp
         w.uniform_draws += n_uni
+
+
+# ---------------------------------------------------------------------------
+# lanes: box_exit's loop body for a batch of rectangles, as struct-of-arrays
+# ---------------------------------------------------------------------------
+
+# outcome of one lane in one box_round pass; the last two end the rectangle
+RESTARTED, THINNED, TRUNCATED, EXITED_LOWER, EXITED_UPPER = range(5)
+
+
+class SliceConstants(NamedTuple):
+    """box_exit's per-rectangle constants, one array entry per slice."""
+
+    l: np.ndarray
+    u: np.ndarray
+    width: np.ndarray
+    wsq: np.ndarray
+    g_inf: np.ndarray
+    g_range: np.ndarray
+    log_bsup: np.ndarray
+    accept_lo: np.ndarray
+    accept_hi: np.ndarray
+
+
+def slice_constants(model: DiffusionModel, intervals, table) -> SliceConstants:
+    """Constants of the rectangles ``intervals`` with their bounds ``table``, as box_exit computes them."""
+    anti = model.mu0_antiderivative
+    rows = []
+    for (l, u), bd in zip(intervals, table):
+        width = u - l
+        log_bsup = bd.log_beta_sup
+        rows.append((
+            l, u, width, width * width, bd.gamma_inf, bd.gamma_range, log_bsup,
+            anti(l) - log_bsup, anti(u) - log_bsup,
+        ))
+    return SliceConstants(*(np.array(col, dtype=float) for col in zip(*rows)))
+
+
+def _each(fn, x):
+    """The scalar callable fn at every entry of the float array x, as a float array."""
+    return np.frompyfunc(fn, 1, 1)(x).astype(float)
+
+
+def box_round(rng: RandomStream, model: DiffusionModel, sc: SliceConstants, s, z0, z, elapsed, T: float, work):
+    """One pass of box_exit's loop body for every lane.
+
+    Lane k runs rectangle s[k] of ``sc``, started at normalised position
+    z0[k], and stands at z[k] after elapsed[k] of its time.  A thinning
+    survivor moves z and elapsed in place and a rejection resets them to
+    (z0, 0), as box_exit does.  ``work`` is the (5, lanes) array of the
+    WorkCounter fields in field order, counted as box_exit counts them.
+    Call it with numpy's divide, overflow and invalid warnings off.
+    Returns (outcome, time, position): the time of an exited or truncated
+    lane's BoxOutcome, and the position of a truncated lane.
+    """
+    n = len(z)
+    g_range = sc.g_range[s]
+    wsq = sc.wsq[s]
+    e = -np.log1p(-rng.uniforms(n)) / g_range  # inf where g_range == 0
+    s_norm, upper = _exit_bm_norm_lanes(rng, z)
+    t_hit = elapsed + s_norm * wsq
+    t_thin = elapsed + e
+    hit = (t_hit <= t_thin) & (t_hit <= T)
+    outcome = np.full(n, RESTARTED)
+    time = np.where(hit, t_hit, T)
+    position = np.empty(n)
+    second = np.zeros(n, dtype=bool)  # lanes that drew the horizon-weight uniform
+
+    h = hit.nonzero()[0]
+    sh = s[h]
+    up = upper[h]
+    ok = np.log(rng.uniforms(len(h))) <= np.where(up, sc.accept_hi[sh], sc.accept_lo[sh])
+    g_inf = sc.g_inf[sh]
+    j = (ok & (g_inf != 0.0)).nonzero()[0]
+    second[h[j]] = True
+    ok[j] = np.log(rng.uniforms(len(j))) <= g_inf[j] * (T - t_hit[h[j]])
+    outcome[h[ok]] = np.where(up[ok], EXITED_UPPER, EXITED_LOWER)
+
+    c = (~hit).nonzero()[0]
+    sc_c = s[c]
+    trunc = T <= t_thin[c]
+    yn = _cond_bm_norm_lanes(rng, z[c], np.where(trunc, T - elapsed[c], e[c]) / wsq[c])
+    l = sc.l[sc_c]
+    y = l + yn * sc.width[sc_c]
+    inside = (l < y) & (y < sc.u[sc_c])
+    u = rng.uniforms(len(c))
+    ok = np.zeros(len(c), dtype=bool)
+    j = (inside & trunc).nonzero()[0]
+    ok[j] = np.log(u[j]) <= _each(model.mu0_antiderivative, y[j]) - sc.log_bsup[sc_c[j]]
+    j = (inside & ~trunc).nonzero()[0]
+    ok[j] = sc.g_range[sc_c[j]] * u[j] > _each(model.gamma_fn, y[j]) - sc.g_inf[sc_c[j]]
+    accepted = ok & trunc
+    outcome[c[accepted]] = TRUNCATED
+    position[c[accepted]] = y[accepted]
+    accepted = ok & ~trunc
+    th = c[accepted]
+    outcome[th] = THINNED
+    z[th] = yn[accepted]
+    elapsed[th] = t_thin[th]
+
+    restarted = outcome == RESTARTED
+    z[restarted] = z0[restarted]
+    elapsed[restarted] = 0.0
+    work[0] += restarted
+    work[1] += 1
+    work[2] += ~hit
+    work[3] += g_range > 0.0
+    work[4] += 1 + second
+    return outcome, time, position

@@ -296,7 +296,8 @@ def cmd_bandit(cfg: ExperimentConfig) -> int:
 def run_validation(model, x, a, b, T, N, n, seed, tag, case="case") -> list[dict]:
     """Empirical diff_exit moments vs quadrature oracles; one dict per check.
 
-    Replication i draws from substream(seed, tag, i).
+    The replications come from run_replications, so they depend on (seed,
+    tag, n) and never on the process count.
     """
     out = run_replications(model, x, a, b, T, N, n, seed, tag=tag)
     times = out["time"]

@@ -4,7 +4,8 @@ A model bundles the original SDE coefficients (drift ``mu``, diffusion
 ``sigma``) together with the drift ``mu0`` of the transformed unit-diffusion
 process, its derivative, its antiderivative, and the monotone change of
 variables that links the two coordinate systems.  All samplers operate on the
-transformed process; only the final exit location is mapped back.
+transformed process; an exit lands on a transformed endpoint, which stands
+for the original a or b, so no position is ever mapped back.
 
 Two scalar functions drive every acceptance test:
 
@@ -54,7 +55,6 @@ class DiffusionModel:
     mu0_prime: Callable[[float], float]
     mu0_antiderivative: Callable[[float], float]
     lamperti: Callable[[float], float]
-    lamperti_inverse: Callable[[float], float]
     domain: tuple[float, float] = (-math.inf, math.inf)
     params: tuple[tuple[str, float], ...] = ()
     # exact extrema hooks; None means grid maximisation with a safety pad
@@ -95,19 +95,6 @@ class IntervalBounds:
     gamma_range: float
     log_beta_sup: float
 
-    def inflated(self, factor: float = 2.0) -> "IntervalBounds":
-        """Conservative variant: beta_sup and gamma_range scaled, gamma_inf kept."""
-        if factor < 1.0:
-            raise ValueError("inflation factor must be >= 1")
-        gamma_sup = self.gamma_inf + factor * self.gamma_range
-        return IntervalBounds(
-            beta_sup=self.beta_sup * factor,
-            gamma_inf=self.gamma_inf,
-            gamma_sup=gamma_sup,
-            gamma_range=gamma_sup - self.gamma_inf,
-            log_beta_sup=self.log_beta_sup + math.log(factor),
-        )
-
 
 def _check_in_domain(model: DiffusionModel, x: float) -> None:
     lo, hi = model.domain
@@ -139,14 +126,6 @@ def lamperti_forward(model: DiffusionModel, x: float) -> float:
     if not math.isfinite(y):
         raise DomainError(f"transform not finite at x={x!r}")
     return y
-
-
-def lamperti_inverse(model: DiffusionModel, y: float) -> float:
-    x = model.lamperti_inverse(y)
-    if not math.isfinite(x):
-        raise DomainError(f"inverse transform not finite at y={y!r}")
-    _check_in_domain(model, x)
-    return x
 
 
 def _pad_up(v: float) -> float:
@@ -241,7 +220,6 @@ def brownian() -> DiffusionModel:
         mu0_prime=zero,
         mu0_antiderivative=zero,
         lamperti=_identity,
-        lamperti_inverse=_identity,
         gamma_extrema=lambda l, u: (0.0, 0.0),
         log_beta_max=lambda l, u: 0.0,
     )
@@ -258,7 +236,6 @@ def sinusoidal_drift() -> DiffusionModel:
         mu0_prime=math.cos,
         mu0_antiderivative=lambda x: 2.0 * x + 1.0 - math.cos(x),
         lamperti=_identity,
-        lamperti_inverse=_identity,
     )
 
 
@@ -285,7 +262,6 @@ def ornstein_uhlenbeck(lam: float) -> DiffusionModel:
         mu0_prime=lambda x: -lam,
         mu0_antiderivative=lambda x: -0.5 * lam * x * x,
         lamperti=_identity,
-        lamperti_inverse=_identity,
         params=(("lambda", lam),),
         gamma_extrema=gamma_extrema,
         log_beta_max=log_beta_max,
@@ -320,7 +296,6 @@ def cox_ingersoll_ross(k: float, theta: float, sigma: float) -> DiffusionModel:
         mu0_prime=lambda x: -rho / (x * x) - 0.5 * k,
         mu0_antiderivative=lambda x: rho * math.log(x) - 0.25 * k * x * x,
         lamperti=lambda x: 2.0 * math.sqrt(x) / sigma,
-        lamperti_inverse=lambda y: (0.5 * sigma * y) ** 2,
         domain=(0.0, math.inf),
         params=(("k", k), ("theta", theta), ("sigma", sigma), ("rho", rho)),
     )
@@ -366,7 +341,6 @@ def make_model(
         mu0_prime=mu0_prime,
         mu0_antiderivative=mu0_antiderivative,
         lamperti=_identity,
-        lamperti_inverse=_identity,
         domain=domain,
         antiderivative_tol=used_tol,
     )

@@ -1,9 +1,13 @@
 """Parallel replications with scheduling-independent results.
 
-Replication i always draws from substream(seed, tag, i), so the assembled
-arrays are bit-identical whether the work runs inline, in one process, or
-fanned out over a pool.  Worker processes are forked after the case is
-staged in a module global, which keeps models (closures) out of pickling.
+Below _MIN_LANES replications, replication i draws from substream(seed, tag,
+i) and runs the scalar walk.  From _MIN_LANES on, the replications are cut
+into blocks of _LANES, and block c runs its walks as lockstep lanes from
+substream(seed, tag, "lanes", c).  Either way the arrays depend on (seed,
+tag, n) and never on ``processes``: they are bit-identical whether the work
+runs inline or fanned out over a pool.  Worker processes are forked after the
+case is staged in a module global, which keeps models (closures) out of
+pickling.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ from .random_walk import diff_exit, slice_bounds_table
 from .rng import substream
 
 _CASE = None
+_MIN_LANES = 64  # fewer replications run one scalar walk each
+_LANES = 2048  # replications per lane block; fixed, so no array depends on processes
 
-# output key and dtype, in the order _run_chunk lists one replication's values
+# output key and dtype, in the order _rows lists one replication's values
 _COLUMNS = (
     ("time", np.float64),
     ("location", np.float64),
@@ -32,12 +38,9 @@ _COLUMNS = (
 )
 
 
-def _run_chunk(bounds):
-    lo, hi = bounds
-    model, x, a, b, T, N, seed, tag = _CASE
+def _rows(records):
     rows = []
-    for i in range(lo, hi):
-        rec = diff_exit(substream(seed, tag, i), model, x, a, b, T, N)
+    for rec in records:
         w = rec.work
         rows.append((
             rec.exit_time, rec.exit_location, w.total(), rec.steps, w.restarts,
@@ -46,29 +49,36 @@ def _run_chunk(bounds):
     return rows
 
 
+def _run_block(c):
+    model, x, a, b, T, N, n, seed, tag = _CASE
+    lanes = min(_LANES, n - c * _LANES)
+    return _rows(diff_exit(substream(seed, tag, "lanes", c), model, x, a, b, T, N, lanes=lanes))
+
+
 def run_replications(model, x, a, b, T, N, n, seed, tag="rep", processes=None) -> dict[str, np.ndarray]:
     """n independent exit simulations, one array entry per replication.
 
     Keys: time, location, wall_time (float64) and work, steps, restarts,
     exit_bm_calls, cond_bm_calls (int64).  Every array except the measured
-    wall_time is independent of ``processes``.
+    wall_time depends on (seed, tag, n) only, never on ``processes``.
     """
     global _CASE
     if processes is None:
         processes = os.cpu_count() or 1
-    _CASE = (model, x, a, b, T, N, seed, tag)
-    try:
-        if processes <= 1 or n < 64 or mp.get_start_method(allow_none=True) not in (None, "fork"):
-            parts = [_run_chunk((0, n))]
-        else:
-            # built before the fork, the bounds table is shared instead of built per worker
-            slice_bounds_table(model, lamperti_forward(model, a), lamperti_forward(model, b), N)
-            chunk = max(32, (n + 4 * processes - 1) // (4 * processes))
-            bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-            ctx = mp.get_context("fork")
-            with ctx.Pool(processes) as pool:
-                parts = pool.map(_run_chunk, bounds)
-    finally:
-        _CASE = None
+    if n < _MIN_LANES:
+        parts = [_rows(diff_exit(substream(seed, tag, i), model, x, a, b, T, N) for i in range(n))]
+    else:
+        blocks = range((n + _LANES - 1) // _LANES)
+        _CASE = (model, x, a, b, T, N, n, seed, tag)
+        try:
+            if processes <= 1 or len(blocks) < 2 or mp.get_start_method(allow_none=True) not in (None, "fork"):
+                parts = [_run_block(c) for c in blocks]
+            else:
+                # built before the fork, the bounds table is shared instead of built per worker
+                slice_bounds_table(model, lamperti_forward(model, a), lamperti_forward(model, b), N)
+                with mp.get_context("fork").Pool(min(processes, len(blocks))) as pool:
+                    parts = pool.map(_run_block, blocks)
+        finally:
+            _CASE = None
     columns = list(zip(*(row for part in parts for row in part))) or [()] * len(_COLUMNS)
     return {key: np.array(col, dtype=dtype) for (key, dtype), col in zip(_COLUMNS, columns)}

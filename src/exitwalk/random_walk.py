@@ -8,21 +8,39 @@ either endpoint is detected by integer index, never by float comparison.
 Truncated rectangles hand back an interior position and the walk continues.
 The exit law is independent of N and of the per-rectangle horizon T; both
 parameters only move the cost.
+
+``diff_exit(..., lanes=k)`` runs k independent walks in lockstep as numpy
+lanes (struct-of-arrays), one pass of the rectangle loop per lane at a time,
+with the law and the work counts of k scalar walks.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
-from .box_exit import BoxOutcome, WorkCounter, box_exit
+import numpy as np
+
+from .box_exit import (
+    _MAX_RESTARTS,
+    EXITED_UPPER,
+    RESTARTED,
+    TRUNCATED,
+    BoxOutcome,
+    WorkCounter,
+    box_exit,
+    box_round,
+    slice_constants,
+)
 from .errors import DomainError, RunawayError
 from .model import DiffusionModel, IntervalBounds, check_horizon, compute_bounds, lamperti_forward
 from .rng import RandomStream
 
 _MAX_STEPS = 10**8
+# below this many active lanes, the lockstep walk hands its lanes to the scalar walk
+_TAIL_LANES = 64
 
 
 @dataclass(frozen=True)
@@ -91,6 +109,116 @@ class ExitRecord:
     chosen_N: int
 
 
+def _walk(rng, model, grid, pos, T, table, work, max_steps, elapsed=0.0, steps=0, restarts=0):
+    """Scalar rectangle walk from pos: (elapsed, absorbing grid index 0 or n, steps).
+
+    ``elapsed`` and ``steps`` carry a walk already under way, and
+    ``restarts`` counts the rejections already spent on its first rectangle.
+    """
+    while True:
+        i = _index(grid, pos)
+        lo, hi = slice_interval(grid, i)
+        out: BoxOutcome = box_exit(
+            rng, model, pos, lo, hi, T, bounds=table[i - 1], work=work, max_restarts=_MAX_RESTARTS - restarts
+        )
+        restarts = 0
+        steps += 1
+        elapsed += out.time
+        if out.exited:
+            j = i - 1 if out.position == lo else i + 1
+            if j == 0 or j == grid.n:
+                return elapsed, j, steps
+            pos = grid.grid_point(j)
+        else:
+            pos = out.position
+        if steps >= max_steps:
+            raise RunawayError(f"diff_exit exceeded {max_steps} rectangle steps")
+
+
+def _walk_lanes(rng, model, grid, x_hat, T, table, lanes, max_steps):
+    """``lanes`` walks from x_hat in lockstep, as arrays in lane order: (elapsed, index, steps, work).
+
+    Every pass of the loop runs one pass of box_exit's loop body on each
+    active lane (box_round), then the walk step on the lanes whose rectangle
+    ended; absorbed lanes leave the arrays.  Once fewer than _TAIL_LANES are
+    active, each lane that stands where box_exit starts (at z0 with no time
+    elapsed: a new rectangle, or one just rejected) goes on with the scalar
+    walk, so the stragglers cost no numpy passes.
+    """
+    n = grid.n
+    points = np.array([grid.grid_point(j) for j in range(n + 1)])
+    sc = slice_constants(model, [slice_interval(grid, i) for i in range(1, n)], table)
+    out_elapsed = np.empty(lanes)
+    out_index = np.empty(lanes, dtype=np.int64)
+    out_steps = np.empty(lanes, dtype=np.int64)
+    out_work = np.empty((5, lanes), dtype=np.int64)
+
+    ids = np.arange(lanes)
+    s = np.full(lanes, _index(grid, x_hat) - 1)
+    pos = np.full(lanes, x_hat)
+    z0 = (pos - sc.l[s]) / sc.width[s]
+    z = z0.copy()
+    el = np.zeros(lanes)
+    restarts = np.zeros(lanes, dtype=np.int64)
+    elapsed = np.zeros(lanes)
+    steps = np.zeros(lanes, dtype=np.int64)
+    work = np.zeros((5, lanes), dtype=np.int64)
+    while len(ids):
+        if len(ids) < _TAIL_LANES:
+            for k in (el == 0.0).nonzero()[0].tolist():
+                w = WorkCounter(*work[:, k].tolist())
+                lane = ids[k]
+                out_elapsed[lane], out_index[lane], out_steps[lane] = _walk(
+                    rng, model, grid, float(pos[k]), T, table, w, max_steps,
+                    float(elapsed[k]), int(steps[k]), int(restarts[k]),
+                )
+                out_work[:, lane] = astuple(w)
+            keep = el != 0.0
+            ids, s, pos, z0, z, el, restarts, elapsed, steps, work = (
+                v[..., keep] for v in (ids, s, pos, z0, z, el, restarts, elapsed, steps, work)
+            )
+            if not len(ids):
+                break
+
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            outcome, t, y = box_round(rng, model, sc, s, z0, z, el, T, work)
+        restarts += outcome == RESTARTED
+        if restarts.max() > _MAX_RESTARTS:
+            raise RunawayError(f"box_exit exceeded {_MAX_RESTARTS} restarts")
+        c = (outcome >= TRUNCATED).nonzero()[0]
+        if not len(c):
+            continue
+        elapsed[c] += t[c]
+        steps[c] += 1
+        oc = outcome[c]
+        j = s[c] + 1 + np.where(oc == EXITED_UPPER, 1, -1)
+        absorbed = (oc != TRUNCATED) & ((j == 0) | (j == n))
+        going = c[~absorbed]
+        if len(going) and steps[going].max() >= max_steps:
+            raise RunawayError(f"diff_exit exceeded {max_steps} rectangle steps")
+        p = np.where(oc == TRUNCATED, y[c], points[np.clip(j, 0, n)])[~absorbed]
+        pos[going] = p
+        d = grid.delta
+        s[going] = np.clip(np.floor((p - grid.a_hat - 0.5 * d) / d), 0, n - 2).astype(np.int64)
+        z0[going] = (p - sc.l[s[going]]) / sc.width[s[going]]
+        z[going] = z0[going]
+        el[going] = 0.0
+        restarts[going] = 0
+        if absorbed.any():
+            a = c[absorbed]
+            lane = ids[a]
+            out_elapsed[lane] = elapsed[a]
+            out_index[lane] = j[absorbed]
+            out_steps[lane] = steps[a]
+            out_work[:, lane] = work[:, a]
+            keep = np.ones(len(ids), dtype=bool)
+            keep[a] = False
+            ids, s, pos, z0, z, el, restarts, elapsed, steps, work = (
+                v[..., keep] for v in (ids, s, pos, z0, z, el, restarts, elapsed, steps, work)
+            )
+    return out_elapsed, out_index, out_steps, out_work
+
+
 def diff_exit(
     rng: RandomStream,
     model: DiffusionModel,
@@ -102,12 +230,19 @@ def diff_exit(
     *,
     bounds_table: tuple[IntervalBounds, ...] | None = None,
     max_steps: int = _MAX_STEPS,
-) -> ExitRecord:
+    lanes: int | None = None,
+) -> ExitRecord | list[ExitRecord]:
     """Exit time and location of the original diffusion from (a, b), started at x.
 
-    Runs the rectangle walk in transformed coordinates and maps the final
-    position back; absorbed positions snap exactly to the caller's a or b.
-    T = inf is admissible only when every slice has gamma_inf = 0.
+    Runs the rectangle walk in transformed coordinates; absorbed positions
+    snap exactly to the caller's a or b.  T = inf is admissible only when
+    every slice has gamma_inf = 0.
+
+    With ``lanes=None`` this is one walk and returns one ExitRecord.  With an
+    integer, it runs that many independent walks in lockstep from the one
+    stream ``rng`` and returns a list of ExitRecords in lane order, each with
+    the law of a single walk; ``wall_time`` is then the wall time of the
+    whole batch divided by ``lanes``.
     """
     if not (a < x < b):
         raise ValueError(f"need a < x < b, got a={a!r}, x={x!r}, b={b!r}")
@@ -115,6 +250,8 @@ def diff_exit(
         raise ValueError(f"need integer N >= 2, got {N!r}")
     if not T > 0.0:
         raise ValueError(f"need T > 0, got {T!r}")
+    if lanes is not None and (not isinstance(lanes, int) or lanes < 1):
+        raise ValueError(f"need lanes None or an integer >= 1, got {lanes!r}")
     t0 = _time.perf_counter()
     a_hat = lamperti_forward(model, a)
     b_hat = lamperti_forward(model, b)
@@ -128,37 +265,21 @@ def diff_exit(
         raise ValueError(f"bounds_table must have {N - 1} entries, got {len(bounds_table)}")
     check_horizon(T, bounds_table)
 
-    work = WorkCounter()
-    pos = x_hat
-    elapsed = 0.0
-    steps = 0
-    location = None
-    while True:
-        i = _index(grid, pos)
-        lo, hi = slice_interval(grid, i)
-        out: BoxOutcome = box_exit(rng, model, pos, lo, hi, T, bounds=bounds_table[i - 1], work=work)
-        steps += 1
-        elapsed += out.time
-        if out.exited:
-            j = i - 1 if out.position == lo else i + 1
-            if j == 0:
-                location = a
-                break
-            if j == grid.n:
-                location = b
-                break
-            pos = grid.grid_point(j)
-        else:
-            pos = out.position
-        if steps >= max_steps:
-            raise RunawayError(f"diff_exit exceeded {max_steps} rectangle steps")
-
-    wall = _time.perf_counter() - t0
-    return ExitRecord(
-        exit_time=elapsed,
-        exit_location=location,
-        steps=steps,
-        work=work,
-        wall_time=wall,
-        chosen_N=N,
-    )
+    if lanes is None:
+        work = WorkCounter()
+        elapsed, j, steps = _walk(rng, model, grid, x_hat, T, bounds_table, work, max_steps)
+        wall = _time.perf_counter() - t0
+        return ExitRecord(
+            exit_time=elapsed,
+            exit_location=a if j == 0 else b,
+            steps=steps,
+            work=work,
+            wall_time=wall,
+            chosen_N=N,
+        )
+    elapsed, index, steps, work = _walk_lanes(rng, model, grid, x_hat, T, bounds_table, lanes, max_steps)
+    wall = (_time.perf_counter() - t0) / lanes
+    return [
+        ExitRecord(t, a if j == 0 else b, st, WorkCounter(*w), wall, N)
+        for t, j, st, w in zip(elapsed.tolist(), index.tolist(), steps.tolist(), work.T.tolist())
+    ]

@@ -1,8 +1,9 @@
 """Seeded random variate streams with named, scheduling-independent substreams.
 
-Every sampler in the package draws scalar variates one at a time through a
-:class:`RandomStream`, so a fixed seed path yields a bit-identical variate
-sequence no matter how much randomness each algorithm happens to consume.
+Every sampler in the package draws its variates through a
+:class:`RandomStream`: scalars one at a time, or whole arrays for the lanes
+of a batched walk.  A fixed seed path and a fixed sequence of calls yield a
+bit-identical variate sequence.
 Substreams are derived from a 64-bit root seed plus a path of names/indices
 (replication index, arm, purpose), so sweeps and parallel replications are
 reproducible regardless of execution order.
@@ -16,6 +17,8 @@ import zlib
 import numpy as np
 
 _BLOCK = 1024
+_ARRAY_BLOCK = 4096
+_EMPTY = np.empty(0)
 
 
 def _spawn_key(path) -> tuple[int, ...]:
@@ -33,14 +36,15 @@ def _spawn_key(path) -> tuple[int, ...]:
 
 
 class RandomStream:
-    """Buffered scalar uniform/normal/exponential source over PCG64.
+    """Buffered scalar uniform/normal/exponential source over PCG64, plus array draws.
 
-    ``uniform()`` returns values in the open interval (0, 1) so callers can
-    take logarithms without guards.  ``draws`` counts variates actually
-    served, which test harnesses use to audit work accounting.
+    ``uniform()`` and ``uniforms(n)`` return values in the open interval
+    (0, 1) so callers can take logarithms without guards.  ``draws`` counts
+    variates actually served, scalar or in arrays, which test harnesses use
+    to audit work accounting.
     """
 
-    __slots__ = ("_gen", "_uni", "_u_at", "_nor", "_n_at", "draws")
+    __slots__ = ("_gen", "_uni", "_u_at", "_nor", "_n_at", "_ua", "_ua_at", "_na", "_na_at", "draws")
 
     def __init__(self, seed=None, *, _seed_sequence=None):
         if _seed_sequence is None:
@@ -51,6 +55,9 @@ class RandomStream:
         self._u_at = 0
         self._nor = self._gen.standard_normal(_BLOCK).tolist()
         self._n_at = 0
+        # array buffers, filled on the first array draw
+        self._ua = self._na = _EMPTY
+        self._ua_at = self._na_at = 0
         self.draws = 0
 
     def uniform(self) -> float:
@@ -73,6 +80,33 @@ class RandomStream:
         self._n_at += 1
         self.draws += 1
         return z
+
+    def uniforms(self, n: int) -> np.ndarray:
+        """n uniform variates in the open interval (0, 1), as a read-only array."""
+        if self._ua_at + n > len(self._ua):
+            u = self._gen.random(max(n, _ARRAY_BLOCK))
+            while not u.all():
+                zero = (u == 0.0).nonzero()[0]
+                u[zero] = self._gen.random(len(zero))
+            u.flags.writeable = False
+            self._ua = u
+            self._ua_at = 0
+        at = self._ua_at
+        self._ua_at = at + n
+        self.draws += n
+        return self._ua[at : at + n]
+
+    def normals(self, n: int) -> np.ndarray:
+        """n standard normal variates, as a read-only array."""
+        if self._na_at + n > len(self._na):
+            v = self._gen.standard_normal(max(n, _ARRAY_BLOCK))
+            v.flags.writeable = False
+            self._na = v
+            self._na_at = 0
+        at = self._na_at
+        self._na_at = at + n
+        self.draws += n
+        return self._na[at : at + n]
 
     def exponential(self, rate: float) -> float:
         """Exp(rate) variate; returns inf when rate == 0 without consuming randomness."""

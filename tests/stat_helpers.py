@@ -1,8 +1,11 @@
-"""Statistics behind the distributional assertions of the test suite.
+"""Statistics and evaluations behind the assertions of the test suite.
 
 Kolmogorov-Smirnov distances with asymptotic p-values, an exact-variance
-binomial z-score and a Pearson chi-square test, plus ``corrupt_gamma``, the
-fault injection that checks a biased thinning test is caught.
+binomial z-score and a Pearson chi-square test; ``corrupt_gamma``, the fault
+injection that checks a biased thinning test is caught; ``inflate``, the
+conservative bounds that must change work but not the law; and
+``absorbing_kernel``, sandwich bounds on the Brownian kernel that the
+conditioned-position tests integrate against.
 """
 
 from __future__ import annotations
@@ -10,10 +13,49 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from exitwalk import DiffusionModel, compute_bounds
+from exitwalk import DiffusionModel, IntervalBounds, compute_bounds
+from exitwalk.bm_exit import _kernel_bounds, _resolve
+
+
+def inflate(bounds: IntervalBounds, factor: float = 2.0) -> IntervalBounds:
+    """Conservative variant: beta_sup and gamma_range scaled, gamma_inf kept."""
+    if factor < 1.0:
+        raise ValueError("inflation factor must be >= 1")
+    gamma_sup = bounds.gamma_inf + factor * bounds.gamma_range
+    return IntervalBounds(
+        beta_sup=bounds.beta_sup * factor,
+        gamma_inf=bounds.gamma_inf,
+        gamma_sup=gamma_sup,
+        gamma_range=gamma_sup - bounds.gamma_inf,
+        log_beta_sup=bounds.log_beta_sup + math.log(factor),
+    )
+
+
+@dataclass(frozen=True)
+class KernelEvaluation:
+    lower_bound: float
+    upper_bound: float
+    terms_used: int
+
+
+def absorbing_kernel(
+    x: float, y: float, l: float, u: float, t: float, tolerance: float = 1e-12
+) -> KernelEvaluation:
+    """Sandwich bounds on the absorbing heat kernel q_t(x, y) on (l, u)."""
+    if not (l < x < u and l < y < u):
+        raise ValueError("x and y must lie strictly inside (l, u)")
+    if not t > 0.0:
+        raise ValueError(f"need t > 0, got {t!r}")
+    w = u - l
+    z = (x - l) / w
+    yn = (y - l) / w
+    tn = t / (w * w)
+    lo, hi, k = _resolve(lambda kk: _kernel_bounds(z, yn, tn, kk), tolerance * w)
+    return KernelEvaluation(lower_bound=lo / w, upper_bound=hi / w, terms_used=k)
 
 
 def corrupt_gamma(model: DiffusionModel, shift: float) -> DiffusionModel:

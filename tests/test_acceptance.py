@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Everything is seeded, so
 each criterion is fully reproducible; replications fan out over local cores
-through per-replication substreams without affecting any sampled value.
+through run_replications, whose arrays do not depend on the core count.
 """
 
 import math
@@ -15,7 +15,7 @@ import exitwalk as ew
 from exitwalk.bandit import BanditState, WORK_UNITS, bandit_diff_exit, select_arm, update
 from exitwalk.box_exit import box_exit
 from exitwalk.parallel import run_replications
-from stat_helpers import binomial_z, chi_square_test, ks_1sample, ks_2sample, ks_critical
+from stat_helpers import binomial_z, chi_square_test, inflate, ks_1sample, ks_2sample, ks_critical
 
 SIN = ew.sinusoidal_drift()
 OU1 = ew.ornstein_uhlenbeck(1.0)
@@ -163,7 +163,7 @@ def test_criterion_5_conservative_bounds_invariance():
     t0 = time.perf_counter()
     n = 20_000
     bounds = ew.compute_bounds(OU1, 0.0, 1.0)
-    inflated = bounds.inflated(2.0)
+    inflated = inflate(bounds, 2.0)
 
     def run(tag, bd):
         rng = ew.substream(500, tag)

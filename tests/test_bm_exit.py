@@ -6,7 +6,6 @@ import pytest
 from exitwalk import (
     ConvergenceError,
     DegenerateInputError,
-    absorbing_kernel,
     cond_bm,
     exit_bm,
     exit_time_cdf,
@@ -21,7 +20,7 @@ from exitwalk.bm_exit import (
     _survival_bounds,
     _T_CROSS,
 )
-from stat_helpers import ks_1sample, ks_2sample, ks_critical
+from stat_helpers import absorbing_kernel, ks_1sample, ks_2sample, ks_critical
 
 
 def _sample_exits(seed, x, l, u, n):

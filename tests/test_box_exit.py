@@ -19,7 +19,7 @@ from exitwalk import (
     substream,
 )
 from exitwalk.box_exit import box_exit
-from stat_helpers import binomial_z, corrupt_gamma, ks_2sample
+from stat_helpers import binomial_z, corrupt_gamma, inflate, ks_2sample
 
 BM = brownian()
 OU1 = ornstein_uhlenbeck(1.0)
@@ -121,7 +121,7 @@ def test_ou_single_box_matches_frozen_euler_reference():
 
 def test_conservative_bounds_change_work_not_law():
     bounds = compute_bounds(OU1, 0.0, 1.0)
-    inflated = bounds.inflated(2.0)
+    inflated = inflate(bounds, 2.0)
     n = 10_000
 
     def run(tag, bd):

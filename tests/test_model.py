@@ -14,13 +14,12 @@ from exitwalk import (
     cox_ingersoll_ross,
     gamma,
     lamperti_forward,
-    lamperti_inverse,
     make_model,
     ornstein_uhlenbeck,
     sinusoidal_drift,
     slice_bounds_table,
-    substream,
 )
+from stat_helpers import inflate
 
 OU1 = ornstein_uhlenbeck(1.0)
 SIN = sinusoidal_drift()
@@ -100,7 +99,7 @@ def test_bounds_dominate_on_fine_grid(model, lo, hi):
 
 def test_bounds_inflated():
     b = compute_bounds(OU1, 0.0, 7.0)
-    infl = b.inflated(2.0)
+    infl = inflate(b, 2.0)
     assert infl.beta_sup == pytest.approx(2.0 * b.beta_sup)
     assert infl.gamma_inf == b.gamma_inf
     assert infl.gamma_range == pytest.approx(2.0 * b.gamma_range)
@@ -123,16 +122,7 @@ def test_lamperti_identity_for_unit_models():
 
 def test_lamperti_cir_values():
     assert lamperti_forward(CIR, 4.0) == pytest.approx(4.0, rel=1e-14)
-    assert lamperti_inverse(CIR, 2.0 * math.sqrt(6.0)) == pytest.approx(6.0, rel=1e-13)
-
-
-def test_lamperti_round_trip():
-    rng = substream(5, "roundtrip")
-    for _ in range(1000):
-        x = 0.01 + 12.0 * rng.uniform()
-        y = lamperti_forward(CIR, x)
-        back = lamperti_inverse(CIR, y)
-        assert abs(back - x) <= 1e-10 * max(1.0, abs(x))
+    assert lamperti_forward(CIR, 6.0) == pytest.approx(2.0 * math.sqrt(6.0), rel=1e-13)
 
 
 @pytest.mark.parametrize("model,lo,hi", [(SIN, -5.0, 5.0), (OU1, -5.0, 5.0), (CIR, 0.5, 8.0)])
