@@ -6,20 +6,30 @@ and the bandit minimises it: with probability 1 - epsilon it replays the arm
 with the smallest empirical mean cost, otherwise it explores uniformly.
 Selection at iteration n+1 depends only on rewards up to n, and the exit law
 itself does not depend on N, so tuning never perturbs the sampled law.
+
+With the work reward, pulls of the greedy arm are served from a per-arm bank
+of walks drawn ahead as one lane block (``diff_exit(..., lanes=k)``) from a
+freshly spawned stream.  This is the "stack of rewards" view of a bandit
+(Lattimore & Szepesvari, *Bandit Algorithms*, 2020, section 4.6): each pull
+takes the next unread i.i.d. walk of its arm, so the joint law of arms and
+rewards is that of one scalar walk per pull.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .model import DiffusionModel, lamperti_forward
-from .random_walk import ExitRecord, diff_exit, slice_bounds_table
+from .random_walk import _TAIL_LANES, ExitRecord, diff_exit, slice_bounds_table
 from .rng import RandomStream
 
 SCHEDULES = ("fixed", "cube_root_decay")
+# largest lane block banked for one arm: a larger block buys little speed and costs memory
+_BANK = 512
 
 
 @dataclass
@@ -145,10 +155,19 @@ def bandit_diff_exit(
 ) -> tuple[list[ExitRecord], BanditTrace]:
     """Run M exit simulations, choosing N by epsilon-greedy cost minimisation.
 
-    Strictly sequential: the clock is started and stopped around each exit
-    simulation and the state is updated before the next arm is selected.
-    The bounds table of every arm is built before the first pull, so a
-    wall-clock reward never charges that one-off build to an arm.
+    The state is updated after every pull, before the next arm is selected.
+    Every arm's bounds table is built before the first pull, so a wall-clock
+    reward never charges that one-off build to an arm.
+
+    With ``reward=WORK_UNITS``, a pull of the greedy arm whose bank is empty
+    refills it with one lane block of ``k = min(_BANK, M - it + 1, pulls of
+    that arm)`` walks from ``rng.spawn()``, if k >= ``_TAIL_LANES``, and
+    banked walks are popped in lane order.  The law is exact: k may depend
+    on the history, but the walks come from a stream no earlier decision
+    read, and leftovers are dropped unread.  The spawned draws are added to
+    ``rng.draws``.  Every other pull runs one scalar walk on ``rng``; with
+    ``WALL_TIME`` the clock is started and stopped around each, since a
+    block's amortised time would underprice the banked arm.
     """
     if M < 1:
         raise ValueError(f"need M >= 1, got {M!r}")
@@ -156,15 +175,28 @@ def bandit_diff_exit(
     a_hat = lamperti_forward(model, a)
     b_hat = lamperti_forward(model, b)
     tables = {arm: slice_bounds_table(model, a_hat, b_hat, arm) for arm in state.arms}
+    banks: dict[int, deque[ExitRecord]] = {arm: deque() for arm in state.arms}
     records: list[ExitRecord] = []
     rows: list[tuple[int, int, float, float, float]] = []
     running = 0.0
     for it in range(1, M + 1):
         eps_eff = state.epsilon_effective(it)
         arm = select_arm(state, rng)
-        t0 = _time.perf_counter()
-        rec = diff_exit(rng, model, x, a, b, T, arm, bounds_table=tables[arm])
-        dt = _time.perf_counter() - t0
+        bank = banks[arm]
+        # select_arm leaves the state alone, so greedy_arm() is still the pre-selection one
+        if not bank and reward is WORK_UNITS and arm == state.greedy_arm():
+            k = min(_BANK, M - it + 1, state.pulls[arm - 2])
+            if k >= _TAIL_LANES:
+                child = rng.spawn()
+                bank.extend(diff_exit(child, model, x, a, b, T, arm, bounds_table=tables[arm], lanes=k))
+                rng.draws += child.draws
+        if bank:
+            rec = bank.popleft()
+            dt = rec.wall_time
+        else:
+            t0 = _time.perf_counter()
+            rec = diff_exit(rng, model, x, a, b, T, arm, bounds_table=tables[arm])
+            dt = _time.perf_counter() - t0
         r = reward.extract(rec, dt)
         update(state, arm, r)
         running += r

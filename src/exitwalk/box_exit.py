@@ -27,7 +27,7 @@ from .rng import RandomStream
 _MAX_RESTARTS = 10**9
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkCounter:
     """Hardware-independent cost ledger; one field per kind of random event."""
 
@@ -47,7 +47,7 @@ class WorkCounter:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoxOutcome:
     time: float
     position: float

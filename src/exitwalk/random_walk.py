@@ -43,7 +43,7 @@ _MAX_STEPS = 10**8
 _TAIL_LANES = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SliceGrid:
     """Uniform grid a_hat + j*delta, j = 0..n, with n-1 overlapping slices."""
 
@@ -99,7 +99,7 @@ def slice_bounds_table(model: DiffusionModel, a_hat: float, b_hat: float, n: int
     return tuple(compute_bounds(model, *slice_interval(grid, i)) for i in range(1, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExitRecord:
     exit_time: float
     exit_location: float

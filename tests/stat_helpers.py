@@ -3,9 +3,10 @@
 Kolmogorov-Smirnov distances with asymptotic p-values, an exact-variance
 binomial z-score and a Pearson chi-square test; ``corrupt_gamma``, the fault
 injection that checks a biased thinning test is caught; ``inflate``, the
-conservative bounds that must change work but not the law; and
+conservative bounds that must change work but not the law;
 ``absorbing_kernel``, sandwich bounds on the Brownian kernel that the
-conditioned-position tests integrate against.
+conditioned-position tests integrate against; and ``assert_same_exit_law``,
+the two-sample comparison of exit records that every faster path must pass.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from exitwalk import DiffusionModel, IntervalBounds, compute_bounds
+from exitwalk import DiffusionModel, IntervalBounds, WorkCounter, compute_bounds
 from exitwalk.bm_exit import _kernel_bounds, _resolve
 
 
@@ -184,3 +185,28 @@ def chi_square_test(observed, probs) -> tuple[float, float]:
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(obs) - 1
     return stat, _regularized_gamma_q(dof / 2.0, stat / 2.0)
+
+
+def assert_same_exit_law(batch, scalar, b: float, label) -> None:
+    """Two samples of ExitRecords share a law: exit time, exit location and every work count.
+
+    A two-sample KS test on exit time (p > 0.01), a two-proportion z-test
+    on exits at ``b`` (|z| <= 3) and each ``WorkCounter`` field's mean within
+    4 standard errors.
+    """
+    _, p = ks_2sample([r.exit_time for r in batch], [r.exit_time for r in scalar])
+    assert p > 0.01, (label, p)
+    n1, n2 = len(batch), len(scalar)
+    k1 = sum(r.exit_location == b for r in batch)
+    k2 = sum(r.exit_location == b for r in scalar)
+    pooled = (k1 + k2) / (n1 + n2)
+    if 0.0 < pooled < 1.0:
+        z = (k1 / n1 - k2 / n2) / math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+        assert abs(z) <= 3.0, (label, z)
+    else:  # every walk of both samples left through the same endpoint
+        assert k1 / n1 == k2 / n2
+    for field in dataclasses.fields(WorkCounter):
+        w1 = np.array([getattr(r.work, field.name) for r in batch], dtype=float)
+        w2 = np.array([getattr(r.work, field.name) for r in scalar], dtype=float)
+        se = math.sqrt(w1.var(ddof=1) / n1 + w2.var(ddof=1) / n2)
+        assert abs(w1.mean() - w2.mean()) <= 4.0 * se, (label, field.name, w1.mean(), w2.mean(), se)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exitwalk.bandit as bandit_mod
 from exitwalk import (
     BanditState,
+    WALL_TIME,
     WORK_UNITS,
     bandit_diff_exit,
     brownian,
@@ -14,13 +16,15 @@ from exitwalk import (
     ornstein_uhlenbeck,
     reward_model,
     select_arm,
+    sinusoidal_drift,
     substream,
     update,
 )
-from stat_helpers import chi_square_test, ks_2sample
+from stat_helpers import assert_same_exit_law, chi_square_test, ks_2sample
 
 OU1 = ornstein_uhlenbeck(1.0)
 BM = brownian()
+SIN = sinusoidal_drift()
 
 
 def test_update_first_observation():
@@ -245,3 +249,71 @@ def test_bandit_validation():
         bandit_diff_exit(rng, BM, 0.5, 0.0, 1.0, 1.0, 5, 0.1, 0)
     with pytest.raises(ValueError):
         bandit_diff_exit(rng, BM, 0.5, 0.0, 1.0, 1.0, 5, 1.5, 10)
+
+
+def _counting_diff_exit(monkeypatch):
+    """Every walk call of the bandit, as (N, lanes, what it returned)."""
+    calls = []
+    real = bandit_mod.diff_exit
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((args[6], kwargs.get("lanes"), out))
+        return out
+
+    monkeypatch.setattr(bandit_mod, "diff_exit", counting)
+    return calls
+
+
+def test_banked_walks_keep_the_scalar_law(monkeypatch):
+    calls = _counting_diff_exit(monkeypatch)
+    recs, _ = bandit_diff_exit(substream(61, "bank"), SIN, 3.0, 0.0, 7.0, 1.0, 13, 0.1, 3000)
+    blocks = [(n, out) for n, lanes, out in calls if lanes is not None]
+    arms = {n for n, _ in blocks}
+    assert arms, "no pull was served from a bank"
+    arm = max(arms, key=lambda n: sum(len(out) for m, out in blocks if m == n))
+    served = {id(r) for n, out in blocks if n == arm for r in out}
+    banked = [r for r in recs if id(r) in served]  # in pull order
+    assert len(banked) >= 1000
+    rng = substream(62, "bank-scalar")
+    scalar = [diff_exit(rng, SIN, 3.0, 0.0, 7.0, 1.0, arm) for _ in range(len(banked))]
+    assert_same_exit_law(banked, scalar, 7.0, arm)
+    # Each pull takes a walk independent of the ones before it.  Almost every
+    # banked walk is served, so the tests above cannot see the order they are
+    # served in; the ascents of n i.i.d. continuous values have mean (n-1)/2
+    # and variance (n+1)/12.
+    t = [r.exit_time for r in banked]
+    ascents = sum(u < v for u, v in zip(t, t[1:]))
+    n = len(t)
+    assert abs(ascents - (n - 1) / 2) <= 4.0 * math.sqrt((n + 1) / 12), (ascents, n)
+
+
+def test_work_reward_banks_only_greedy_blocks(monkeypatch):
+    picks = []  # (greedy arm before the pick, arm picked)
+    calls = []  # (pick of the pull, N, lanes)
+    real_select, real_walk = bandit_mod.select_arm, bandit_mod.diff_exit
+
+    def select(state, rng):
+        greedy = state.greedy_arm()
+        picks.append((greedy, real_select(state, rng)))
+        return picks[-1][1]
+
+    def walk(*args, **kwargs):
+        calls.append((picks[-1], args[6], kwargs.get("lanes")))
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(bandit_mod, "select_arm", select)
+    monkeypatch.setattr(bandit_mod, "diff_exit", walk)
+    recs, trace = bandit_diff_exit(substream(63, "seams"), BM, 0.5, 0.0, 1.0, 1.0, 5, 0.3, 400)
+    assert len(recs) == len(trace.rows) == 400
+    blocks = [c for c in calls if c[2] is not None]
+    assert blocks and len(calls) < 400
+    for (greedy, arm), n, lanes in blocks:
+        assert n == arm == greedy and 64 <= lanes <= 512
+
+
+def test_wall_reward_runs_one_scalar_walk_per_pull(monkeypatch):
+    calls = _counting_diff_exit(monkeypatch)
+    recs, _ = bandit_diff_exit(substream(63, "seams"), BM, 0.5, 0.0, 1.0, 1.0, 5, 0.3, 400, reward=WALL_TIME)
+    assert len(recs) == 400
+    assert [lanes for _, lanes, _ in calls] == [None] * 400

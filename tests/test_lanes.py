@@ -1,7 +1,5 @@
 """The lockstep lane walk against the scalar walk: the same law, the same work, the same caps."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,7 @@ from exitwalk import (
 )
 from exitwalk.bm_exit import _hit_density_bounds, _hit_density_k1, _kernel_bounds, _kernel_k1
 from exitwalk.parallel import run_replications
-from stat_helpers import ks_2sample
+from stat_helpers import assert_same_exit_law
 
 # the ou2, cir and sin cases of acceptance criterion 3: model, x, a, b, T, N
 CASES = {
@@ -26,7 +24,6 @@ CASES = {
     "sin": (sinusoidal_drift(), 3.0, 0.0, 7.0, 1.0, 7),
 }
 SIZE = 4000
-WORK_FIELDS = ("restarts", "exit_bm_calls", "cond_bm_calls", "exp_draws", "uniform_draws")
 _SCALAR = {}
 
 
@@ -42,26 +39,6 @@ def _scalar(case):
 def _lanes(case, seed):
     model, x, a, b, T, N = CASES[case]
     return diff_exit(substream(seed, "lanes", case), model, x, a, b, T, N, lanes=SIZE)
-
-
-def _assert_same_law(case, batch, scalar):
-    b = CASES[case][3]
-    _, p = ks_2sample([r.exit_time for r in batch], [r.exit_time for r in scalar])
-    assert p > 0.01, (case, p)
-    n1, n2 = len(batch), len(scalar)
-    k1 = sum(r.exit_location == b for r in batch)
-    k2 = sum(r.exit_location == b for r in scalar)
-    pooled = (k1 + k2) / (n1 + n2)
-    if 0.0 < pooled < 1.0:
-        z = (k1 / n1 - k2 / n2) / math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
-        assert abs(z) <= 3.0, (case, z)
-    else:  # every walk of both samples left through the same endpoint
-        assert k1 / n1 == k2 / n2
-    for field in WORK_FIELDS:
-        w1 = np.array([getattr(r.work, field) for r in batch], dtype=float)
-        w2 = np.array([getattr(r.work, field) for r in scalar], dtype=float)
-        se = math.sqrt(w1.var(ddof=1) / n1 + w2.var(ddof=1) / n2)
-        assert abs(w1.mean() - w2.mean()) <= 4.0 * se, (case, field, w1.mean(), w2.mean(), se)
 
 
 def test_k1_bounds_are_the_scalar_k1_bounds():
@@ -86,7 +63,7 @@ def test_lanes_match_scalar_law_and_work(case):
     batch = _lanes(case, 91)
     assert len(batch) == SIZE
     assert all(r.exit_location in CASES[case][2:4] for r in batch)
-    _assert_same_law(case, batch, _scalar(case))
+    assert_same_exit_law(batch, _scalar(case), CASES[case][3], case)
 
 
 @pytest.mark.parametrize("case", ["cir", "sin"])
@@ -106,7 +83,7 @@ def test_scalar_sandwich_deciding_every_lane_keeps_the_law(monkeypatch, case):
     monkeypatch.setattr(bm_mod, "_sandwich_accept", counting_sandwich)
     batch = _lanes(case, 92)
     assert decided[0] > SIZE
-    _assert_same_law(case, batch, _scalar(case))
+    assert_same_exit_law(batch, _scalar(case), CASES[case][3], case)
 
 
 @pytest.mark.parametrize("lanes", [10, 200])

@@ -7,19 +7,27 @@ import pytest
 
 import exitwalk.bandit  # noqa: F401  (the tracer reads its names from sys.modules)
 import exitwalk.parallel as parallel_mod
-from exitwalk import cox_ingersoll_ross, diff_exit, ornstein_uhlenbeck, substream
+from exitwalk import (
+    WORK_UNITS,
+    bandit_diff_exit,
+    brownian,
+    cox_ingersoll_ross,
+    diff_exit,
+    ornstein_uhlenbeck,
+    substream,
+)
 from exitwalk.parallel import run_replications
 
 CIR = cox_ingersoll_ross(3.0, 7.0, 1.0)
 
 
-def _tracer_wrapped():
-    """WRAPPED of the benchmark's tracer, loaded by path and only read."""
+def _tracer():
+    """The benchmark's tracer module, loaded by path and only read."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAPPED
+    return module
 
 
 def test_replications_do_not_depend_on_process_count():
@@ -62,9 +70,20 @@ def test_few_replications_keep_one_scalar_walk_each():
 
 
 def test_trace_seams_resolve():
-    for dotted in _tracer_wrapped():
+    for dotted in _tracer().WRAPPED:
         module, attr = dotted.split(".")
         assert callable(getattr(sys.modules.get(f"exitwalk.{module}"), attr, None)), dotted
+
+
+def test_banked_bandit_runs_under_the_tracer():
+    with _tracer().Tracer() as tr:
+        recs, _ = bandit_diff_exit(
+            substream(64, "traced"), brownian(), 0.5, 0.0, 1.0, 1.0, 5, 0.3, 400, reward=WORK_UNITS
+        )
+    assert tr.missing == []
+    assert len(recs) == 400
+    # fewer walk calls than pulls: lane blocks ran through the traced seam
+    assert 0 < tr.calls("bandit.diff_exit") < 400
 
 
 @pytest.mark.parametrize("n", [8, 200])
