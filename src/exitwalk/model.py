@@ -12,14 +12,21 @@ Two scalar functions drive every acceptance test:
     beta(x)  = exp(integral of mu0 up to x)
     gamma(x) = (mu0(x)^2 + mu0'(x)) / 2
 
-plus their sup/inf over the current interval.  Conservative bounds only cost
-acceptance rate, never correctness, so grid-based bounds carry a small safety
-pad while the built-in models supply closed-form extrema where available.
+plus their sup/inf over the current interval.  The samplers are exact only if
+those constants really bound the functions they evaluate; a conservative
+bound only costs acceptance rate.  Every built-in model (``bm``, ``ou``,
+``sin``, ``cir``) supplies closed-form extrema, taken at the endpoints and
+the critical points of gamma and of the antiderivative of mu0.  ``sin`` and
+``cir`` also pad them by a few ulps, which certifies them against the
+rounding of the sampler's own evaluators; ``ou``'s are exact in real
+arithmetic but unpadded.  Only :func:`make_model` models fall back to the
+heuristic grid of :func:`compute_bounds`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -29,6 +36,9 @@ from .quadrature import adaptive_simpson
 
 _GRID_POINTS = 10_001
 _PAD = 1e-6
+# Relative rounding allowance of the few-operation gamma and antiderivative
+# evaluators, twice over: once at the candidate point, once at any other point.
+_ROUNDING = 16 * sys.float_info.epsilon
 
 
 def _identity(x: float) -> float:
@@ -69,14 +79,17 @@ class DiffusionModel:
         The samplers call this evaluator in their inner loops; :func:`gamma`
         adds the domain and finiteness checks on top of it.
         """
-        mu0 = self.mu0
-        mu0p = self.mu0_prime
+        return _gamma_evaluator(self.mu0, self.mu0_prime)
 
-        def gamma_fn(y: float) -> float:
-            m = mu0(y)
-            return 0.5 * (m * m + mu0p(y))
 
-        return gamma_fn
+def _gamma_evaluator(mu0: Callable[[float], float], mu0p: Callable[[float], float]) -> Callable[[float], float]:
+    """The one gamma expression: the samplers and the closed-form bounds evaluate it alike."""
+
+    def gamma_fn(y: float) -> float:
+        m = mu0(y)
+        return 0.5 * (m * m + mu0p(y))
+
+    return gamma_fn
 
 
 @dataclass(frozen=True)
@@ -139,8 +152,11 @@ def _pad_down(v: float) -> float:
 def compute_bounds(model: DiffusionModel, l: float, u: float) -> IntervalBounds:
     """Valid (possibly conservative) beta/gamma constants for [l, u].
 
-    Uses the model's closed-form extrema when present, otherwise maximises on
-    a 10,001-point grid and inflates by a pad of 1e-6 * (1 + |value|).
+    Uses the model's closed-form extrema when present: ``bm``, ``ou``,
+    ``sin`` and ``cir`` all have them, and those of ``sin`` and ``cir`` are
+    certified against rounding.  Only :func:`make_model` models take the
+    heuristic path, which maximises on a 10,001-point grid and inflates by a
+    pad of 1e-6 * (1 + |value|).
     """
     if not l < u:
         raise ValueError(f"need l < u, got {l!r} >= {u!r}")
@@ -225,17 +241,82 @@ def brownian() -> DiffusionModel:
     )
 
 
+def _sign_change_roots(f: Callable[[float], float], lo: float, hi: float) -> list[float]:
+    """Roots of f in [lo, hi] at least (hi - lo)/64 apart: a sign scan over 64
+    equal pieces, then bisection until the bracket is two adjacent floats."""
+    roots = []
+    step = (hi - lo) / 64
+    a, neg_a = lo, f(lo) < 0.0
+    for i in range(1, 65):
+        b = lo + i * step
+        neg_b = f(b) < 0.0
+        if neg_a != neg_b:
+            x0, x1 = a, b
+            mid = 0.5 * (x0 + x1)
+            while x0 < mid < x1:
+                if (f(mid) < 0.0) == neg_a:
+                    x0 = mid
+                else:
+                    x1 = mid
+                mid = 0.5 * (x0 + x1)
+            roots.append(x0)
+        a, neg_a = b, neg_b
+    return roots
+
+
 def sinusoidal_drift() -> DiffusionModel:
     """Unit diffusion with drift 2 + sin(x); gamma >= 0 everywhere, so an
-    infinite horizon is admissible on any interval."""
+    infinite horizon is admissible on any interval.
+
+    Closed-form bounds.  The antiderivative 2x + 1 - cos x has derivative
+    2 + sin x >= 1, so its maximum on [l, u] is at u.  gamma' =
+    (2 + sin x) cos x - sin(x)/2 has two roots per period (about 1.40490, a
+    maximum, and 4.28263, a minimum), found once to full precision; the
+    extrema of gamma on [l, u] are among its values at l, at u and at each
+    root whose shift by a multiple of 2 pi lies in [l, u].  A root is
+    evaluated unshifted, where gamma is the same, and is counted when its
+    shift lies within a small slack of [l, u] (counting an extra extremum of
+    the period is only conservative).
+
+    Each value is padded outward by ``_ROUNDING`` times the magnitude of the
+    terms of its evaluator: (2 + sin)^2 + |cos| <= 10 for gamma, and
+    2 max(|l|, |u|) + 2 for the antiderivative.  That covers the rounding of
+    the sampler's own ``gamma_fn`` and ``mu0_antiderivative`` both at the
+    candidate and at any other point of [l, u].  A root found to within
+    delta moves gamma only by |gamma''| delta^2 / 2 <= 3.5 delta^2 / 2
+    (gamma'' = cos 2x - 2 sin x - cos(x)/2), some 1e-30 here and far below
+    the pad.  The minimum of gamma is about 0.387, so the padded gamma_inf
+    still clamps to exactly 0.
+    """
+    mu0 = lambda x: 2.0 + math.sin(x)
+    anti = lambda x: 2.0 * x + 1.0 - math.cos(x)
+    g = _gamma_evaluator(mu0, math.cos)
+    roots = _sign_change_roots(lambda x: (2.0 + math.sin(x)) * math.cos(x) - 0.5 * math.sin(x), 0.0, math.tau)
+    critical = [g(r) for r in roots]
+    g_pad = _ROUNDING * 10.0
+
+    def gamma_extrema(l: float, u: float) -> tuple[float, float]:
+        vals = [g(l), g(u)]
+        slack = 1e-9 * (1.0 + abs(l) + abs(u))
+        for r, gr in zip(roots, critical):
+            n = math.ceil((l - slack - r) / math.tau)
+            if r + n * math.tau <= u + slack:
+                vals.append(gr)
+        return min(vals) - g_pad, max(vals) + g_pad
+
+    def log_beta_max(l: float, u: float) -> float:
+        return anti(u) + _ROUNDING * (2.0 * max(abs(l), abs(u)) + 2.0)
+
     return DiffusionModel(
         name="sin",
-        drift=lambda x: 2.0 + math.sin(x),
+        drift=mu0,
         diffusion=_one,
-        mu0=lambda x: 2.0 + math.sin(x),
+        mu0=mu0,
         mu0_prime=math.cos,
-        mu0_antiderivative=lambda x: 2.0 * x + 1.0 - math.cos(x),
+        mu0_antiderivative=anti,
         lamperti=_identity,
+        gamma_extrema=gamma_extrema,
+        log_beta_max=log_beta_max,
     )
 
 
@@ -275,6 +356,22 @@ def cox_ingersoll_ross(k: float, theta: float, sigma: float) -> DiffusionModel:
     mu0(x) = rho/x - k x/2 with rho = (4 k theta - sigma^2) / (2 sigma^2).
     Construction requires finite k, theta, sigma and rho > 0 (process stays
     strictly positive).
+
+    Closed-form bounds.  gamma = A/x^2 + B x^2 + C with A = (rho^2 - rho)/2,
+    B = k^2/8 and C = -k (rho + 1/2)/2.  When rho > 1 it is convex with its
+    minimum at (A/B)^(1/4); when rho <= 1 it is increasing.  Either way the
+    extrema on [l, u] are among its values at l, at u and at that minimiser
+    clamped into [l, u].  The antiderivative rho log x - k x^2/4 is concave
+    with its maximum at sqrt(2 rho / k), clamped into [l, u].
+
+    Each value is padded outward by ``_ROUNDING`` times the magnitude of the
+    terms of its evaluator, taken at the worse endpoint: (rho/x + k x/2)^2 +
+    rho/x^2 + k/2 for gamma and rho |log x| + k x^2/4 for the antiderivative,
+    each largest at an endpoint.  That covers the rounding of the sampler's
+    own ``gamma_fn`` and ``mu0_antiderivative`` at the candidate and at any
+    other point of [l, u], even where the terms cancel.  The few-ulp error of
+    a computed critical point moves a value only at second order, by
+    |f''| delta^2 / 2, far below the pad.
     """
     if not all(math.isfinite(v) for v in (k, theta, sigma)):
         raise ConfigurationError(
@@ -288,16 +385,39 @@ def cox_ingersoll_ross(k: float, theta: float, sigma: float) -> DiffusionModel:
             f"cir requires rho = (4*k*theta - sigma^2)/(2*sigma^2) > 0, got rho={rho!r}"
         )
 
+    mu0 = lambda x: rho / x - 0.5 * k * x
+    mu0p = lambda x: -rho / (x * x) - 0.5 * k
+    anti = lambda x: rho * math.log(x) - 0.25 * k * x * x
+    g = _gamma_evaluator(mu0, mu0p)
+    a_coef = 0.5 * (rho * rho - rho)
+    # minimiser of gamma; with rho <= 1 gamma increases, so its minimum is at l
+    x_min = (8.0 * a_coef / (k * k)) ** 0.25 if a_coef > 0.0 else 0.0
+    x_top = math.sqrt(2.0 * rho / k)  # maximiser of the concave antiderivative
+
+    def g_terms(x: float) -> float:
+        return (rho / x + 0.5 * k * x) ** 2 + rho / (x * x) + 0.5 * k
+
+    def gamma_extrema(l: float, u: float) -> tuple[float, float]:
+        vals = (g(l), g(u), g(min(max(x_min, l), u)))
+        pad = _ROUNDING * max(g_terms(l), g_terms(u))
+        return min(vals) - pad, max(vals) + pad
+
+    def log_beta_max(l: float, u: float) -> float:
+        terms = rho * max(abs(math.log(l)), abs(math.log(u))) + 0.25 * k * u * u
+        return anti(min(max(x_top, l), u)) + _ROUNDING * terms
+
     return DiffusionModel(
         name="cir",
         drift=lambda x: k * (theta - x),
         diffusion=lambda x: sigma * math.sqrt(x),
-        mu0=lambda x: rho / x - 0.5 * k * x,
-        mu0_prime=lambda x: -rho / (x * x) - 0.5 * k,
-        mu0_antiderivative=lambda x: rho * math.log(x) - 0.25 * k * x * x,
+        mu0=mu0,
+        mu0_prime=mu0p,
+        mu0_antiderivative=anti,
         lamperti=lambda x: 2.0 * math.sqrt(x) / sigma,
         domain=(0.0, math.inf),
         params=(("k", k), ("theta", theta), ("sigma", sigma), ("rho", rho)),
+        gamma_extrema=gamma_extrema,
+        log_beta_max=log_beta_max,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -19,6 +20,7 @@ from exitwalk import (
     sinusoidal_drift,
     slice_bounds_table,
 )
+import exitwalk.model as model_mod
 from stat_helpers import inflate
 
 OU1 = ornstein_uhlenbeck(1.0)
@@ -195,3 +197,109 @@ def test_ou_closed_form_bounds_dominate(lo, width, lam):
         assert gamma(model, x) <= b.gamma_sup + 1e-12
         assert b.gamma_inf <= gamma(model, x) + 1e-12 or b.gamma_inf <= 0.0
         assert beta(model, x) <= b.beta_sup * (1.0 + 1e-12)
+
+
+def _bisect(f, a, b):
+    """A root of f in [a, b], where f changes sign, to two adjacent floats."""
+    neg_a = f(a) < 0.0
+    mid = 0.5 * (a + b)
+    while a < mid < b:
+        if (f(mid) < 0.0) == neg_a:
+            a = mid
+        else:
+            b = mid
+        mid = 0.5 * (a + b)
+    return a
+
+
+def _sin_gamma_roots():
+    dg = lambda x: (2.0 + math.sin(x)) * math.cos(x) - 0.5 * math.sin(x)
+    return _bisect(dg, 1.3, 1.5), _bisect(dg, 4.2, 4.4)
+
+
+def _near(points, lo, hi, ulps=4):
+    """Each point and its neighbours within ``ulps`` floats, kept inside [lo, hi]."""
+    out = []
+    for p in points:
+        below = above = p
+        out.append(p)
+        for _ in range(ulps):
+            below = math.nextafter(below, -math.inf)
+            above = math.nextafter(above, math.inf)
+            out += [below, above]
+    return [x for x in out if lo <= x <= hi]
+
+
+def _assert_certified(model, lo, hi, critical):
+    """No slack: the sampler's own evaluators stay inside the bounds at every probe."""
+    b = compute_bounds(model, lo, hi)
+    g_lo, g_hi = model.gamma_extrema(lo, hi)
+    assert b.gamma_sup == g_hi and b.gamma_inf == min(g_lo, 0.0)
+    xs = [lo + (hi - lo) * i / 1999 for i in range(2000)] + [lo, hi] + _near(critical + [lo, hi], lo, hi)
+    g, anti = model.gamma_fn, model.mu0_antiderivative
+    for x in xs:
+        assert g_lo <= g(x) <= g_hi, x
+        assert anti(x) <= b.log_beta_sup, x
+
+
+@given(lo=st.floats(-30.0, 30.0), width=st.floats(1e-3, 15.0))
+@settings(max_examples=80, deadline=None)
+def test_sin_closed_form_bounds_are_certified(lo, width):
+    hi = lo + width
+    tau = 2.0 * math.pi
+    critical = [
+        r + n * tau for r in _sin_gamma_roots() for n in range(math.floor((lo - r) / tau), math.ceil((hi - r) / tau) + 1)
+    ]
+    _assert_certified(SIN, lo, hi, critical)
+
+
+CIR_CASES = {
+    "rho>1": (3.0, 7.0, 1.0),  # rho = 41.5, the benchmark's
+    "rho<1": (1.0, 0.3, 1.0),  # rho = 0.1
+    "rho=1": (1.0, 0.75, 1.0),
+}
+
+
+@given(case=st.sampled_from(sorted(CIR_CASES)), lo=st.floats(0.05, 10.0), width=st.floats(1e-3, 8.0))
+@settings(max_examples=80, deadline=None)
+def test_cir_closed_form_bounds_are_certified(case, lo, width):
+    k, theta, sigma = CIR_CASES[case]
+    model = cox_ingersoll_ross(k, theta, sigma)
+    rho = dict(model.params)["rho"]
+    critical = [math.sqrt(2.0 * rho / k)]
+    if rho > 1.0:
+        critical.append((4.0 * (rho * rho - rho) / (k * k)) ** 0.25)
+    _assert_certified(model, lo, lo + width, critical)
+
+
+@pytest.mark.parametrize(
+    "model,a,b,ns",
+    [
+        (SIN, 0.0, 7.0, range(2, 22)),
+        (CIR, 1.0, 6.0, (16,)),
+        (cox_ingersoll_ross(*CIR_CASES["rho<1"]), 0.2, 6.0, (16,)),
+        (cox_ingersoll_ross(*CIR_CASES["rho=1"]), 0.2, 6.0, (16,)),
+    ],
+)
+def test_closed_form_bounds_no_looser_than_grid(model, a, b, ns):
+    grid_model = dataclasses.replace(model, gamma_extrema=None, log_beta_max=None)
+    a_hat, b_hat = lamperti_forward(model, a), lamperti_forward(model, b)
+    for n in ns:
+        for new, old in zip(slice_bounds_table(model, a_hat, b_hat, n), slice_bounds_table(grid_model, a_hat, b_hat, n)):
+            assert new.gamma_sup <= old.gamma_sup
+            assert new.log_beta_sup <= old.log_beta_sup
+
+
+def test_builtin_tables_never_use_the_grid(monkeypatch):
+    def no_grid(v):
+        raise AssertionError("grid bounds used")
+
+    monkeypatch.setattr(model_mod, "_pad_up", no_grid)
+    with pytest.raises(AssertionError, match="grid bounds"):
+        compute_bounds(make_model("wave", mu0=math.cos, mu0_prime=lambda x: -math.sin(x), mu0_antiderivative=math.sin), 0.0, 1.0)
+    sin = sinusoidal_drift()
+    for n in range(2, 22):
+        slice_bounds_table(sin, 0.0, 7.0, n)
+    for params in CIR_CASES.values():
+        cir = cox_ingersoll_ross(*params)
+        slice_bounds_table(cir, lamperti_forward(cir, 1.0), lamperti_forward(cir, 6.0), 16)
