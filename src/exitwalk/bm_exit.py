@@ -240,6 +240,26 @@ def _accept_hit_density(threshold: float, z: float, t: float) -> bool:
     return _sandwich_accept(threshold, lambda k: _hit_density_bounds(z, t, k), 2)
 
 
+def _accept_hit_cdf(threshold: float, z: float, t: float) -> bool:
+    """threshold <= P(tau <= t, exit at the upper endpoint) for t <= _T_CROSS.
+
+    The image series alternates with decreasing terms, so its partial sums
+    bracket the value: the first term bounds it from above, the first two from
+    below, the first three from above again.  One or two erfc calls decide
+    almost every threshold; the sandwich settles the rest.
+    """
+    rt2 = math.sqrt(2.0 * t)
+    s = math.erfc((1.0 - z) / rt2)
+    if threshold > s:
+        return False
+    s -= math.erfc((1.0 + z) / rt2)
+    if threshold <= s:
+        return True
+    if threshold > s + math.erfc((3.0 - z) / rt2):
+        return False
+    return _sandwich_accept(threshold, lambda k: _hit_cdf_bounds(z, t, k), 2)
+
+
 def _accept_kernel(threshold: float, z: float, y: float, t: float) -> bool:
     """threshold <= q_t(z, y), with the k=1 bounds inlined."""
     if t < _T_CROSS:
@@ -302,19 +322,25 @@ def _hit_envelope(z: float) -> tuple[float, float, float, float]:
     return c_env, mass_head, total, d0 / math.sqrt(_T_HEAD)
 
 
-def _sample_hit_time(rng: RandomStream, z: float) -> float:
+def _sample_hit_time(rng: RandomStream, z: float, cap: float = math.inf) -> float:
     """Time to hit the upper endpoint, given the walk exits there, from z.
 
     Proposal envelope: the leading image term (the one-barrier hitting-time
     density of the distance d0 = 1 - z) restricted to t <= _T_HEAD, plus an
     exponential tail of rate pi^2/2 scaled by sin(pi z) + slack, which
-    dominates the spectral series for t >= _T_HEAD.
+    dominates the spectral series for t >= _T_HEAD.  With cap < _T_HEAD the
+    time is conditioned on t <= cap: the head piece alone, its normal tail
+    cut at d0 / sqrt(cap).
     """
     d0 = 1.0 - z
-    c_env, mass_head, total, trunc = _hit_envelope(z)
+    head_only = cap < _T_HEAD
+    if head_only:
+        trunc = d0 / math.sqrt(cap)
+    else:
+        c_env, mass_head, total, trunc = _hit_envelope(z)
     pref = 0.3989422804014327  # 1/sqrt(2 pi)
     while True:
-        if rng.uniform() * total < mass_head:
+        if head_only or rng.uniform() * total < mass_head:
             v = _sample_normal_tail(rng, trunc)
             t = d0 * d0 / (v * v)
             if t <= 0.0:
@@ -328,11 +354,35 @@ def _sample_hit_time(rng: RandomStream, z: float) -> float:
             return t
 
 
-def _exit_bm_norm(rng: RandomStream, z: float) -> tuple[float, bool]:
-    """(normalised exit time, exited at the upper endpoint) from z in (0, 1)."""
+def _exit_bm_norm(rng: RandomStream, z: float, cap: float = math.inf) -> tuple[float, bool]:
+    """(normalised exit time, exited at the upper endpoint) from z in (0, 1),
+    or (inf, False) when the exit comes after the normalised time ``cap``.
+
+    Below the series crossover one uniform U decides the event and the side
+    before any exit time is drawn: U <= P(tau <= cap, upper) is an upper exit,
+    1 - U <= P(tau <= cap, lower) a lower one, and anything else no exit by
+    cap; the time then comes from the hitting-time envelope cut at cap.  From
+    the crossover on, most exits come by cap anyway, so the side and the time
+    are drawn as without a cap and a time past it is reported as no exit.
+    """
+    if 0.0 < cap < _T_CROSS:
+        u = rng.uniform()
+        # the first image term bounds each sub-CDF from above and turns most
+        # thresholds away before _accept_hit_cdf is called
+        rt2 = math.sqrt(2.0 * cap)
+        if u <= math.erfc((1.0 - z) / rt2) and _accept_hit_cdf(u, z, cap):
+            return _sample_hit_time(rng, z, cap), True
+        zl = 1.0 - z
+        if 1.0 - u <= math.erfc((1.0 - zl) / rt2) and _accept_hit_cdf(1.0 - u, zl, cap):
+            return _sample_hit_time(rng, zl, cap), False
+        return math.inf, False
     if rng.uniform() < z:
-        return _sample_hit_time(rng, z), True
-    return _sample_hit_time(rng, 1.0 - z), False
+        t, upper = _sample_hit_time(rng, z), True
+    else:
+        t, upper = _sample_hit_time(rng, 1.0 - z), False
+    if t > cap:
+        return math.inf, False
+    return t, upper
 
 
 def exit_bm(rng: RandomStream, x: float, l: float, u: float) -> BmExitSample:

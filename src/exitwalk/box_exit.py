@@ -1,14 +1,16 @@
 """Exact exit-or-truncation sampling from one space-time rectangle.
 
 Given the unit-diffusion process on (l, u) with horizon T (finite or
-infinite), the sampler runs the three-branch rejection loop: draw a thinning
-clock E ~ Exp(gamma_range) and a Brownian exit (S, Y); whichever of the exit,
-the horizon, or the clock comes first decides the branch.  Exit and
-truncation candidates pass a beta acceptance test (in log space), thinning
-events pass a gamma survival test and continue the clock; any failure
-restarts the whole rectangle from the initial state.  With valid interval
-bounds the outcome is exactly distributed as (tau ^ T, position), whatever
-the bounds' slack; looser bounds only raise the work counters.
+infinite), the sampler runs the three-branch rejection loop.  Each attempt
+draws a thinning clock E ~ Exp(gamma_range), then asks whether the Brownian
+exit comes by the clock and the horizon, and draws the exit (S, Y) only if it
+does; whichever of the exit, the horizon, or the clock comes first decides
+the branch.  Exit and truncation candidates pass a beta acceptance test (in
+log space), thinning events pass a gamma survival test and continue the
+clock; any failure restarts the whole rectangle from the initial state.
+With valid interval bounds the outcome is exactly distributed as
+(tau ^ T, position), whatever the bounds' slack; looser bounds only raise
+the work counters.  The lane twin ``box_round`` draws every exit in full.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ class WorkCounter:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class BoxOutcome:
+class BoxOutcome(NamedTuple):
     time: float
     position: float
     exited: bool
@@ -108,7 +109,8 @@ def box_exit(
                 n_exp += 1
             else:
                 e = inf
-            s_norm, upper = _exit_bm_norm(rng, z)
+            # an exit after the clock or the horizon is reported as s_norm = inf
+            s_norm, upper = _exit_bm_norm(rng, z, (e if e < T - elapsed else T - elapsed) / wsq)
             n_exit += 1
             t_hit = elapsed + s_norm * wsq
             t_thin = elapsed + e
@@ -120,14 +122,14 @@ def box_exit(
                     n_uni += 1
                     ok = log(uniform()) <= g_inf * (T - t_hit)
                 if ok:
-                    return BoxOutcome(time=t_hit, position=u if upper else l, exited=True, work=w)
+                    return BoxOutcome(t_hit, u if upper else l, True, w)
             elif T <= t_thin:
                 yn = _cond_bm_norm(rng, z, (T - elapsed) / wsq)
                 n_cond += 1
                 n_uni += 1
                 y = l + yn * width
                 if l < y < u and log(uniform()) <= anti(y) - log_bsup:
-                    return BoxOutcome(time=T, position=y, exited=False, work=w)
+                    return BoxOutcome(T, y, False, w)
             else:
                 yn = _cond_bm_norm(rng, z, e / wsq)
                 n_cond += 1

@@ -16,11 +16,11 @@ plus their sup/inf over the current interval.  The samplers are exact only if
 those constants really bound the functions they evaluate; a conservative
 bound only costs acceptance rate.  Every built-in model (``bm``, ``ou``,
 ``sin``, ``cir``) supplies closed-form extrema, taken at the endpoints and
-the critical points of gamma and of the antiderivative of mu0.  ``sin`` and
-``cir`` also pad them by a few ulps, which certifies them against the
-rounding of the sampler's own evaluators; ``ou``'s are exact in real
-arithmetic but unpadded.  Only :func:`make_model` models fall back to the
-heuristic grid of :func:`compute_bounds`.
+the critical points of gamma and of the antiderivative of mu0.  ``ou``,
+``sin`` and ``cir`` also pad them by a few ulps, which certifies them against
+the rounding of the sampler's own evaluators (``bm``'s are exactly 0).  Only
+:func:`make_model` models fall back to the heuristic grid of
+:func:`compute_bounds`.
 """
 
 from __future__ import annotations
@@ -153,10 +153,9 @@ def compute_bounds(model: DiffusionModel, l: float, u: float) -> IntervalBounds:
     """Valid (possibly conservative) beta/gamma constants for [l, u].
 
     Uses the model's closed-form extrema when present: ``bm``, ``ou``,
-    ``sin`` and ``cir`` all have them, and those of ``sin`` and ``cir`` are
-    certified against rounding.  Only :func:`make_model` models take the
-    heuristic path, which maximises on a 10,001-point grid and inflates by a
-    pad of 1e-6 * (1 + |value|).
+    ``sin`` and ``cir`` all have them, certified against rounding.  Only
+    :func:`make_model` models take the heuristic path, which maximises on a
+    10,001-point grid and inflates by a pad of 1e-6 * (1 + |value|).
     """
     if not l < u:
         raise ValueError(f"need l < u, got {l!r} >= {u!r}")
@@ -321,27 +320,39 @@ def sinusoidal_drift() -> DiffusionModel:
 
 
 def ornstein_uhlenbeck(lam: float) -> DiffusionModel:
-    """Mean-reverting drift -lam*x with unit diffusion; closed-form extrema."""
+    """Mean-reverting drift -lam*x with unit diffusion; closed-form extrema.
+
+    gamma = (lam^2 x^2 - lam)/2 is a convex parabola and the antiderivative
+    -lam x^2/2 a concave one, both with their extremum at 0: the extrema on
+    [l, u] are among the values at l, at u and at 0 clamped into [l, u].
+    gamma is evaluated through the sampler's own ``gamma_fn``, and each value
+    is padded outward by ``_ROUNDING`` times the magnitude of the terms of its
+    evaluator, lam^2 x^2 + lam for gamma and lam x^2 / 2 for the
+    antiderivative, both largest at the endpoint farther from 0.  That covers
+    the rounding of the sampler's evaluators at the candidate and at any other
+    point of [l, u].
+    """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ConfigurationError(f"ou requires lambda > 0, got {lam!r}")
+    mu0 = lambda x: -lam * x
+    mu0p = lambda x: -lam
+    anti = lambda x: -0.5 * lam * x * x
+    g = _gamma_evaluator(mu0, mu0p)
 
     def gamma_extrema(l: float, u: float) -> tuple[float, float]:
-        # gamma(x) = (lam^2 x^2 - lam)/2, a convex parabola
-        x_in = min(max(0.0, l), u)
-        g = lambda x: 0.5 * (lam * lam * x * x - lam)
-        return g(x_in), max(g(l), g(u))
+        pad = _ROUNDING * (lam * lam * max(l * l, u * u) + lam)
+        return g(min(max(0.0, l), u)) - pad, max(g(l), g(u)) + pad
 
     def log_beta_max(l: float, u: float) -> float:
-        x_in = min(max(0.0, l), u)
-        return -0.5 * lam * x_in * x_in
+        return anti(min(max(0.0, l), u)) + _ROUNDING * 0.5 * lam * max(l * l, u * u)
 
     return DiffusionModel(
         name="ou",
-        drift=lambda x: -lam * x,
+        drift=mu0,
         diffusion=_one,
-        mu0=lambda x: -lam * x,
-        mu0_prime=lambda x: -lam,
-        mu0_antiderivative=lambda x: -0.5 * lam * x * x,
+        mu0=mu0,
+        mu0_prime=mu0p,
+        mu0_antiderivative=anti,
         lamperti=_identity,
         params=(("lambda", lam),),
         gamma_extrema=gamma_extrema,

@@ -28,7 +28,6 @@ from .box_exit import (
     EXITED_UPPER,
     RESTARTED,
     TRUNCATED,
-    BoxOutcome,
     WorkCounter,
     box_exit,
     box_round,
@@ -115,22 +114,27 @@ def _walk(rng, model, grid, pos, T, table, work, max_steps, elapsed=0.0, steps=0
     ``elapsed`` and ``steps`` carry a walk already under way, and
     ``restarts`` counts the rejections already spent on its first rectangle.
     """
+    n = grid.n
+    points = [grid.grid_point(j) for j in range(n + 1)]
+    i = _index(grid, pos)
     while True:
-        i = _index(grid, pos)
-        lo, hi = slice_interval(grid, i)
-        out: BoxOutcome = box_exit(
+        lo = points[i - 1]
+        hi = points[i + 1]
+        t, y, exited, _ = box_exit(
             rng, model, pos, lo, hi, T, bounds=table[i - 1], work=work, max_restarts=_MAX_RESTARTS - restarts
         )
         restarts = 0
         steps += 1
-        elapsed += out.time
-        if out.exited:
-            j = i - 1 if out.position == lo else i + 1
-            if j == 0 or j == grid.n:
-                return elapsed, j, steps
-            pos = grid.grid_point(j)
+        elapsed += t
+        if exited:
+            i = i - 1 if y == lo else i + 1
+            if i == 0 or i == n:
+                return elapsed, i, steps
+            # grid point i is the centre of slice i, the next rectangle
+            pos = points[i]
         else:
-            pos = out.position
+            pos = y
+            i = _index(grid, pos)
         if steps >= max_steps:
             raise RunawayError(f"diff_exit exceeded {max_steps} rectangle steps")
 

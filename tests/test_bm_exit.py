@@ -13,14 +13,16 @@ from exitwalk import (
     substream,
 )
 from exitwalk.bm_exit import (
+    _exit_bm_norm,
     _hit_cdf_bounds,
     _hit_density_bounds,
     _kernel_bounds,
     _resolve,
+    _sample_hit_time,
     _survival_bounds,
     _T_CROSS,
 )
-from stat_helpers import absorbing_kernel, ks_1sample, ks_2sample, ks_critical
+from stat_helpers import absorbing_kernel, binomial_z, ks_1sample, ks_2sample, ks_critical
 
 
 def _sample_exits(seed, x, l, u, n):
@@ -89,6 +91,37 @@ def test_exit_bm_preconditions():
         exit_bm(rng, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         exit_bm(rng, 1.5, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("z", [0.2, 0.5, 0.9])
+def test_capped_exit_matches_sub_cdf_oracle(z):
+    # caps below the series crossover decide the exit first, the others draw it eagerly
+    n = 4000
+    for cap in (0.01, 0.1, 0.3, 0.4, 1.0):
+        rng = substream(19, "capped", repr((z, cap)))
+        draws = [_exit_bm_norm(rng, z, cap) for _ in range(n)]
+        for upper, side in ((True, "upper"), (False, "lower")):
+            times = np.array([t for t, up in draws if up == upper and t != math.inf])
+            p_side = hit_cdf(z, 0.0, 1.0, cap, side)
+            assert abs(binomial_z(len(times), n, p_side)) <= 4.0, (cap, side)
+            assert np.all(times <= cap)
+            if len(times) >= 20:
+                d, _ = ks_1sample(times, lambda t: hit_cdf(z, 0.0, 1.0, t, side) / p_side)
+                assert d < ks_critical(len(times)), (cap, side)
+        assert all(not up for t, up in draws if t == math.inf)
+
+
+def test_uncapped_exit_draws_as_before():
+    def eager(rng, z):
+        if rng.uniform() < z:
+            return _sample_hit_time(rng, z), True
+        return _sample_hit_time(rng, 1.0 - z), False
+
+    for z in (0.2, 0.5, 0.9):
+        a = substream(20, "eager", repr(z))
+        b = substream(20, "eager", repr(z))
+        assert [_exit_bm_norm(a, z) for _ in range(500)] == [eager(b, z) for _ in range(500)]
+        assert a.draws == b.draws
 
 
 def _kernel_cdf_oracle(x, l, u, t, m=3001):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -18,6 +19,7 @@ from exitwalk import (
     sinusoidal_drift,
     substream,
 )
+from exitwalk.bm_exit import _T_CROSS
 from exitwalk.box_exit import box_exit
 from stat_helpers import binomial_z, corrupt_gamma, inflate, ks_2sample
 
@@ -161,9 +163,52 @@ def test_gamma_override_hook_biases_the_law():
 def test_box_exit_submodule_is_not_shadowed(monkeypatch):
     # the package must not re-export the function under its module's name
     assert isinstance(box_mod, types.ModuleType)
-    monkeypatch.setattr("exitwalk.box_exit._exit_bm_norm", lambda rng, z: (0.25, True))
+    monkeypatch.setattr("exitwalk.box_exit._exit_bm_norm", lambda rng, z, cap: (0.25, True))
     out = box_exit(substream(18, "patched"), BM, 0.5, 0.0, 1.0, 1.0)
     assert (out.time, out.position, out.exited) == (0.25, 1.0, True)
+
+
+# model, x, l, u, T: the edge and the middle slice of the ou2 walk (lambda=2,
+# N=6 on (-2, 2)), a sin slice with a finite and an infinite horizon, and BM
+LAZY_CASES = {
+    "ou2-edge": (ornstein_uhlenbeck(2.0), -4.0 / 3.0, -2.0, -2.0 / 3.0, 0.5),
+    "ou2-middle": (ornstein_uhlenbeck(2.0), 0.0, -2.0 / 3.0, 2.0 / 3.0, 0.5),
+    "sin-T3": (SIN, 3.0, 2.0, 4.0, 3.0),
+    "sin-Tinf": (SIN, 3.0, 2.0, 4.0, math.inf),
+    "bm": (BM, 0.3, 0.0, 1.0, 0.6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAZY_CASES))
+def test_capped_exit_keeps_box_law_and_work(monkeypatch, case):
+    """box_exit against the same loop drawing every exit time in full."""
+    model, x, l, u, T = LAZY_CASES[case]
+    n = 10_000
+
+    def run(tag):
+        rng = substream(19, tag, case)
+        return [box_exit(rng, model, x, l, u, T) for _ in range(n)]
+
+    capped = run("capped")
+    real_exit = box_mod._exit_bm_norm
+    monkeypatch.setattr(box_mod, "_exit_bm_norm", lambda rng, z, cap: real_exit(rng, z))
+    eager = run("eager")
+    _, p = ks_2sample([o.time for o in capped], [o.time for o in eager])
+    assert p > 0.01, p
+    for ends in ((l, u), (u,)):
+        k1 = sum(o.position in ends for o in capped)
+        k2 = sum(o.position in ends for o in eager)
+        pooled = (k1 + k2) / (2 * n)
+        if 0.0 < pooled < 1.0:
+            assert abs(k1 - k2) / n <= 3.0 * math.sqrt(2.0 * pooled * (1.0 - pooled) / n), ends
+    inner = [[o.position for o in out if not o.exited] for out in (capped, eager)]
+    if min(map(len, inner)) >= 100:
+        _, p = ks_2sample(*inner)
+        assert p > 0.01, p
+    for field in dataclasses.fields(WorkCounter):
+        w1, w2 = (np.array([getattr(o.work, field.name) for o in out], dtype=float) for out in (capped, eager))
+        se = math.sqrt((w1.var(ddof=1) + w2.var(ddof=1)) / n)
+        assert abs(w1.mean() - w2.mean()) <= 4.0 * se, (field.name, w1.mean(), w2.mean())
 
 
 def test_work_cap_raises_runaway():
@@ -185,15 +230,16 @@ def test_work_accounting_audit(monkeypatch):
     consumption is attributed to their call counters, everything else to
     exp_draws/uniform_draws."""
     rng = substream(16, "audit")
-    inner = {"exit": 0, "cond": 0, "exit_calls": 0, "cond_calls": 0}
+    inner = {"exit": 0, "cond": 0, "exit_calls": 0, "cond_calls": 0, "capped": 0, "eager": 0}
     real_exit = box_mod._exit_bm_norm
     real_cond = box_mod._cond_bm_norm
 
-    def wrapped_exit(r, z):
+    def wrapped_exit(r, z, *cap):
         before = r.draws
-        out = real_exit(r, z)
+        out = real_exit(r, z, *cap)
         inner["exit"] += r.draws - before
         inner["exit_calls"] += 1
+        inner["capped" if cap[0] < _T_CROSS else "eager"] += 1
         return out
 
     def wrapped_cond(r, z, tn):
@@ -210,11 +256,14 @@ def test_work_accounting_audit(monkeypatch):
     total_before = rng.draws
     for _ in range(300):
         box_exit(rng, OU1, 3.0, 2.0, 4.0, 0.3, work=work)
+        box_exit(rng, OU1, 0.5, 0.0, 1.0, 1.0, work=work)
     consumed = rng.draws - total_before
     assert work.exit_bm_calls == inner["exit_calls"]
     assert work.cond_bm_calls == inner["cond_calls"]
     assert consumed == inner["exit"] + inner["cond"] + work.exp_draws + work.uniform_draws
     assert work.restarts <= work.exit_bm_calls
+    # both regimes of the capped primitive ran
+    assert inner["capped"] > 0 and inner["eager"] > 0
 
 
 def test_outcome_invariants():

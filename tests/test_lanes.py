@@ -60,6 +60,8 @@ def test_k1_bounds_are_the_scalar_k1_bounds():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_lanes_match_scalar_law_and_work(case):
+    # scalar rectangles decide whether the exit comes first before drawing it,
+    # lanes draw every exit in full: the law and every work count still agree
     batch = _lanes(case, 91)
     assert len(batch) == SIZE
     assert all(r.exit_location in CASES[case][2:4] for r in batch)
