@@ -20,7 +20,11 @@ rejected.  Any other outcome stops the script with an error.
 
 For each workload and end-to-end metric of ``BENCHMARK.json`` the output
 holds each side's values, median and quartiles, the pairs each side won,
-the seeds, and the ``correct`` and ``failed`` counts.
+the median and quartiles of the per-pair ratio change/parent
+(``pair_ratio``), the seeds, and the ``correct`` and ``failed`` counts.
+The two runs of a pair follow each other, so a drift of the host's speed
+over minutes moves both and largely cancels out of their ratio, while it
+widens each side's own quartiles.
 """
 
 from __future__ import annotations
@@ -117,6 +121,8 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
         entry.update({s: spread(vals[s]) for s in SIDES})
         entry["wins"] = {"parent": parent_wins, "change": change_wins}
         entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
+        ratios = [c / p for p, c in zip(vals["parent"], vals["change"]) if p]
+        entry["pair_ratio"] = spread(ratios) if ratios else None
         out["metrics"][name] = entry
     return out
 

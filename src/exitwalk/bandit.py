@@ -3,9 +3,18 @@
 The reward of an arm is the cost of one full exit simulation run with that N
 (wall-clock seconds, or deterministic work units for reproducible tests),
 and the bandit minimises it: with probability 1 - epsilon it replays the arm
-with the smallest empirical mean cost, otherwise it explores uniformly.
-Selection at iteration n+1 depends only on rewards up to n, and the exit law
-itself does not depend on N, so tuning never perturbs the sampled law.
+with the smallest empirical mean cost, otherwise it explores that arm's
+neighbours N - 1 and N + 1, uniformly among those in 2..N0.  This assumes
+the cost over N is unimodal: then the leader's neighbours are the only arms
+worth exploring (unimodal bandits: Yu & Mannor, ICML 2011; Combes &
+Proutiere, ICML 2014).  Acceptance criterion 6 checks on the paper's
+Example 1 that the cost has an interior minimum with dearer edges.  On a
+cost with several local minima the tuner can settle in one of them.
+Unpulled arms have mean cost 0 and so are greedy first, and an unpulled
+greedy arm is pulled outright whatever epsilon is, so the initial sweep
+visits every arm in the first N0 - 1 pulls.  Selection at iteration n+1
+depends only on rewards up to n, and the exit law itself does not depend on
+N, so tuning never perturbs the sampled law.
 
 With the work reward, pulls of the greedy arm are served from a per-arm bank
 of walks drawn ahead as one lane block (``diff_exit(..., lanes=k)``) from a
@@ -77,24 +86,41 @@ class BanditState:
             return self.epsilon if self.schedule == "fixed" else 1.0
         return min(1.0, n ** (-1.0 / 3.0) * (self.n_arms * math.log(n)) ** (1.0 / 3.0))
 
+    def neighbours(self, arm: int) -> list[int]:
+        """The arms next to ``arm``: one at either edge of 2..N0, two inside."""
+        return [n for n in (arm - 1, arm + 1) if 2 <= n <= self.n0]
+
     def selection_probabilities(self) -> list[float]:
         """Distribution of the next selection implied by the current state."""
         if self.total_pulls == 0:
             return [1.0 / self.n_arms] * self.n_arms
+        greedy = self.greedy_arm()
+        probs = [0.0] * self.n_arms
+        if self.pulls[greedy - 2] == 0:
+            probs[greedy - 2] = 1.0
+            return probs
         eps = self.epsilon_effective(self.total_pulls + 1)
-        probs = [eps / self.n_arms] * self.n_arms
-        probs[self.greedy_arm() - 2] += 1.0 - eps
+        near = self.neighbours(greedy)
+        probs[greedy - 2] = 1.0 - eps
+        for arm in near:
+            probs[arm - 2] = eps / len(near)
         return probs
 
 
 def select_arm(state: BanditState, rng: RandomStream) -> int:
-    """Next N: uniform on the very first pull, epsilon-greedy afterwards."""
+    """Next N: uniform on the very first pull, then the greedy arm outright
+    while it is unpulled, and otherwise the greedy arm with probability
+    1 - epsilon and one of its neighbours, uniformly, with probability epsilon."""
     if state.total_pulls == 0:
         return 2 + int(rng.uniform() * state.n_arms)
+    greedy = state.greedy_arm()
+    if state.pulls[greedy - 2] == 0:
+        return greedy
     eps = state.epsilon_effective(state.total_pulls + 1)
     if rng.uniform() < 1.0 - eps:
-        return state.greedy_arm()
-    return 2 + int(rng.uniform() * state.n_arms)
+        return greedy
+    near = state.neighbours(greedy)
+    return near[int(rng.uniform() * len(near))]
 
 
 def update(state: BanditState, N: int, reward: float) -> None:
@@ -153,7 +179,8 @@ def bandit_diff_exit(
     reward: RewardModel = WORK_UNITS,
     schedule: str = "fixed",
 ) -> tuple[list[ExitRecord], BanditTrace]:
-    """Run M exit simulations, choosing N by epsilon-greedy cost minimisation.
+    """Run M exit simulations, choosing N by epsilon-greedy cost minimisation
+    with exploration of the greedy arm's neighbours (see ``select_arm``).
 
     The state is updated after every pull, before the next arm is selected.
     Every arm's bounds table is built before the first pull, so a wall-clock

@@ -260,37 +260,6 @@ def _accept_hit_cdf(threshold: float, z: float, t: float) -> bool:
     return _sandwich_accept(threshold, lambda k: _hit_cdf_bounds(z, t, k), 2)
 
 
-def _accept_kernel(threshold: float, z: float, y: float, t: float) -> bool:
-    """threshold <= q_t(z, y), with the k=1 bounds inlined."""
-    if t < _T_CROSS:
-        inv2t = 0.5 / t
-        pref = 1.0 / math.sqrt(6.283185307179586 * t)
-        ymz = y - z
-        ypz = y + z
-        s = (
-            math.exp(-ymz * ymz * inv2t)
-            - math.exp(-ypz * ypz * inv2t)
-            + math.exp(-(ymz + 2.0) * (ymz + 2.0) * inv2t)
-            - math.exp(-(ypz + 2.0) * (ypz + 2.0) * inv2t)
-            + math.exp(-(ymz - 2.0) * (ymz - 2.0) * inv2t)
-            - math.exp(-(ypz - 2.0) * (ypz - 2.0) * inv2t)
-        ) * pref
-        tail = 4.0 * pref * math.exp(-4.0 * inv2t) / (1.0 - math.exp(-6.0 / t))
-        if threshold <= s - tail:
-            return True
-        if threshold > s + tail:
-            return False
-    else:
-        a = _HALF_PI2 * t
-        s = 2.0 * math.sin(math.pi * z) * math.sin(math.pi * y) * math.exp(-a)
-        tail = 2.0 * math.exp(-4.0 * a) / (1.0 - math.exp(-4.0 * a))
-        if threshold <= s - tail:
-            return True
-        if threshold > s + tail:
-            return False
-    return _sandwich_accept(threshold, lambda k: _kernel_bounds(z, y, t, k), 2)
-
-
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
@@ -402,32 +371,59 @@ def exit_bm(rng: RandomStream, x: float, l: float, u: float) -> BmExitSample:
 
 
 def _cond_bm_norm(rng: RandomStream, z: float, tn: float) -> float:
-    """Normalised conditioned position in (0, 1); tn is time over squared width."""
+    """Normalised conditioned position in (0, 1); tn is time over squared width.
+
+    Each proposal y is accepted when its threshold is at most q_tn(z, y),
+    decided by the k=1 bounds of _kernel_bounds, inlined with their
+    tn-only parts computed once per call, and by the sandwich when those
+    leave it open.
+    """
     if tn >= _T_CROSS:
         a = _HALF_PI2 * tn
-        sup_q = 2.0 * math.sin(math.pi * z) * math.exp(-a) + 2.0 * math.exp(-4.0 * a) / (
-            1.0 - math.exp(-4.0 * a)
-        )
+        two_sin_z = 2.0 * math.sin(math.pi * z)
+        ea = math.exp(-a)
+        tail = 2.0 * math.exp(-4.0 * a) / (1.0 - math.exp(-4.0 * a))
+        sup_q = two_sin_z * ea + tail
         # sup_q bounds the kernel, and with it the survival probability, from above
         if sup_q < 1e-300:
             raise DegenerateInputError(f"survival probability underflow at normalised t={tn!r}")
         for _ in range(_MAX_PROPOSALS):
             y = rng.uniform()
             threshold = rng.uniform() * sup_q
-            if _accept_kernel(threshold, z, y, tn):
+            q = two_sin_z * math.sin(math.pi * y) * ea
+            if threshold <= q - tail:
+                return y
+            if threshold > q + tail:
+                continue
+            if _sandwich_accept(threshold, lambda k: _kernel_bounds(z, y, tn, k), 2):
                 return y
         raise ConvergenceError("conditioned-position sampler stalled (spectral regime)")
 
     s = math.sqrt(tn)
     inv2t = 0.5 / tn
     pref = 1.0 / math.sqrt(6.283185307179586 * tn)
+    tail = 4.0 * pref * math.exp(-4.0 * inv2t) / (1.0 - math.exp(-6.0 / tn))
     for _ in range(_MAX_PROPOSALS):
         y = z + s * rng.normal()
         if not 0.0 < y < 1.0:
             continue
         d = y - z
-        threshold = rng.uniform() * pref * math.exp(-d * d * inv2t)
-        if _accept_kernel(threshold, z, y, tn):
+        lead = math.exp(-d * d * inv2t)  # the proposal density's shape and the kernel's j=0 term
+        threshold = rng.uniform() * pref * lead
+        ypz = y + z
+        q = (
+            lead
+            - math.exp(-ypz * ypz * inv2t)
+            + math.exp(-(d + 2.0) * (d + 2.0) * inv2t)
+            - math.exp(-(ypz + 2.0) * (ypz + 2.0) * inv2t)
+            + math.exp(-(d - 2.0) * (d - 2.0) * inv2t)
+            - math.exp(-(ypz - 2.0) * (ypz - 2.0) * inv2t)
+        ) * pref
+        if threshold <= q - tail:
+            return y
+        if threshold > q + tail:
+            continue
+        if _sandwich_accept(threshold, lambda k: _kernel_bounds(z, y, tn, k), 2):
             return y
     raise ConvergenceError("conditioned-position sampler stalled (image regime)")
 
@@ -517,7 +513,7 @@ def _kernel_k1_spectral(z, y, t):
 
 
 def _kernel_k1(z, y, t):
-    """The k=1 bounds of _accept_kernel, lane by lane."""
+    """The k=1 kernel bounds of _cond_bm_norm, lane by lane."""
     return _by_regime(t < _T_CROSS, _kernel_k1_image, _kernel_k1_spectral, z, y, t)
 
 

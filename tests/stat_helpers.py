@@ -173,11 +173,22 @@ def _regularized_gamma_q(s: float, x: float) -> float:
 
 
 def chi_square_test(observed, probs) -> tuple[float, float]:
-    """Pearson chi-square of observed counts against cell probabilities."""
+    """Pearson chi-square of observed counts against cell probabilities.
+
+    A cell of probability 0 is a structural zero: it must hold no count, or
+    the law is rejected outright (p = 0.0), and it adds nothing to the
+    statistic or to the degrees of freedom.
+    """
     obs = np.asarray(observed, dtype=float)
     p = np.asarray(probs, dtype=float)
     if obs.shape != p.shape or obs.ndim != 1:
         raise ValueError("observed and probs must be 1-d and matched")
+    if np.any(p < 0.0):
+        raise ValueError("cell probabilities must be nonnegative")
+    support = p > 0.0
+    if np.any(obs[~support] != 0.0):
+        return math.inf, 0.0
+    obs, p = obs[support], p[support]
     n = obs.sum()
     exp = n * p
     if np.any(exp <= 0.0):

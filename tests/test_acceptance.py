@@ -234,12 +234,13 @@ def test_criterion_7_bandit_selection_law():
 def test_criterion_8_bandit_acceleration():
     """Final running-mean work within 1.2x of the best fixed-N sweep mean.
 
-    Note: with uniform exploration the steady-state running mean is bounded
-    below by (1-eps) + eps/(N0-1) * sum_N mu(N)/mu*, and the N=2 arm of this
-    problem costs ~60x the optimum (intrinsic rejection rate of whole-interval
-    rectangles, not an implementation constant), which already places that
-    floor near 1.4.  The check is asserted as specified; see the analysis in
-    the repository notes for why it cannot go green.
+    The N=2 arm of this problem costs about 65x the optimum and N=3 about
+    14x (the intrinsic rejection rate of wide rectangles, not an
+    implementation constant).  Uniform exploration over all 20 arms would
+    hold the steady-state running mean near 1.45x the best; the bandit
+    explores only the greedy arm's neighbours, whose costs are close to the
+    optimum's on this curve (criterion 6 checks its interior minimum), which
+    brings the ratio to about 1.03-1.05.
     """
     t0 = time.perf_counter()
     means = example1_sweep()

@@ -107,10 +107,30 @@ def test_selection_probabilities_match_greedy_mix():
         update(s, arm, 10.0 + abs(arm - 14))
     probs = s.selection_probabilities()
     assert sum(probs) == pytest.approx(1.0)
-    assert probs[14 - 2] == pytest.approx(0.9 + 0.1 / 20)
+    assert probs[14 - 2] == pytest.approx(0.9)
+    assert probs[13 - 2] == probs[15 - 2] == pytest.approx(0.05)
     for arm in s.arms:
-        if arm != 14:
-            assert probs[arm - 2] == pytest.approx(0.005)
+        if arm not in (13, 14, 15):
+            assert probs[arm - 2] == 0.0
+
+
+@pytest.mark.parametrize("greedy, neighbour", [(2, 3), (21, 20)])
+def test_edge_greedy_arm_gives_its_one_neighbour_all_of_epsilon(greedy, neighbour):
+    s = BanditState(n0=21, epsilon=0.2)
+    for arm in s.arms:
+        update(s, arm, 10.0 + abs(arm - greedy))
+    probs = s.selection_probabilities()
+    assert probs[greedy - 2] == pytest.approx(0.8)
+    assert probs[neighbour - 2] == pytest.approx(0.2)
+    assert sum(p > 0.0 for p in probs) == 2
+    rng = substream(64, "edge", greedy)
+    n = 5_000
+    counts = np.zeros(s.n_arms)
+    for _ in range(n):
+        counts[select_arm(s, rng) - 2] += 1
+    assert counts[greedy - 2] + counts[neighbour - 2] == n
+    _, p = chi_square_test(counts, probs)
+    assert p > 0.01
 
 
 def test_selection_frequencies_match_chi_square():
@@ -126,18 +146,18 @@ def test_selection_frequencies_match_chi_square():
     assert p > 0.01
 
 
-def test_epsilon_one_is_uniform():
+def test_epsilon_one_explores_only_the_neighbours():
     s = BanditState(n0=11, epsilon=1.0)
     for arm in s.arms:
-        update(s, arm, float(arm))
+        update(s, arm, 1.0 + abs(arm - 6))
     rng = substream(52, "uni")
     n = 20_000
     counts = np.zeros(s.n_arms)
     for _ in range(n):
         counts[select_arm(s, rng) - 2] += 1
-    p0 = 1.0 / s.n_arms
-    bound = 4.0 * math.sqrt(n * p0 * (1.0 - p0))
-    assert np.all(np.abs(counts - n * p0) <= bound)
+    assert counts[5 - 2] + counts[7 - 2] == n
+    bound = 4.0 * math.sqrt(n * 0.25)
+    assert abs(counts[5 - 2] - n / 2) <= bound
 
 
 def test_epsilon_effective_cube_root_decay():
@@ -156,6 +176,22 @@ def test_forced_exploration_visits_every_arm():
         arm = select_arm(s, rng)
         update(s, arm, 1.0 + 0.001 * arm)
     assert all(p >= 1 for p in s.pulls)
+
+
+@pytest.mark.parametrize("epsilon, schedule", [(1.0, "fixed"), (0.1, "cube_root_decay")])
+def test_initial_sweep_visits_every_arm_whatever_epsilon(epsilon, schedule):
+    # both states start with epsilon_effective = 1, where the unpulled greedy
+    # arm would otherwise never be taken and exploration would stay beside it
+    s = BanditState(n0=21, epsilon=epsilon, schedule=schedule)
+    rng = substream(56, "sweep", schedule)
+    for it in range(s.n_arms):
+        if it > 0:
+            greedy = s.greedy_arm()
+            assert s.pulls[greedy - 2] == 0
+            probs = s.selection_probabilities()
+            assert probs[greedy - 2] == 1.0 and sum(probs) == 1.0
+        update(s, select_arm(s, rng), 1.0 + 0.1 * it)
+    assert s.pulls == [1] * s.n_arms
 
 
 def test_synthetic_environment_concentrates_on_best_arm():
@@ -306,6 +342,8 @@ def test_work_reward_banks_only_greedy_blocks(monkeypatch):
     monkeypatch.setattr(bandit_mod, "diff_exit", walk)
     recs, trace = bandit_diff_exit(substream(63, "seams"), BM, 0.5, 0.0, 1.0, 1.0, 5, 0.3, 400)
     assert len(recs) == len(trace.rows) == 400
+    # after the first pull, every pick is the greedy arm or one of its neighbours
+    assert all(abs(arm - greedy) <= 1 for greedy, arm in picks[1:])
     blocks = [c for c in calls if c[2] is not None]
     assert blocks and len(calls) < 400
     for (greedy, arm), n, lanes in blocks:

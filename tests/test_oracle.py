@@ -208,3 +208,23 @@ def test_chi_square_uniform_counts():
     bad[1] -= 500
     _, p_bad = chi_square_test(bad, [0.1] * 10)
     assert p_bad < 1e-6
+
+
+def test_chi_square_structural_zeros():
+    probs = [0.3, 0.0, 0.5, 0.2, 0.0]
+    counts = [25, 0, 55, 20, 0]
+    stat, p = chi_square_test(counts, probs)
+    want = (25 - 30) ** 2 / 30 + (55 - 50) ** 2 / 50 + (20 - 20) ** 2 / 20
+    assert stat == pytest.approx(want, rel=1e-12)
+    # three positive cells, two degrees of freedom: Q(1, x/2) = exp(-x/2)
+    assert p == pytest.approx(math.exp(-want / 2.0), rel=1e-10)
+    assert chi_square_test([25, 1, 55, 20, 0], probs)[1] == 0.0
+    assert chi_square_test([25, 0, 55, 20, 3], probs)[1] == 0.0
+
+
+def test_chi_square_positive_cells_unchanged_by_structural_zeros():
+    counts = np.array([90.0, 110.0, 95.0, 105.0])
+    probs = [0.25] * 4
+    exp = 100.0
+    stat = float(np.sum((counts - exp) ** 2 / exp))
+    assert chi_square_test(counts, probs) == (stat, _regularized_gamma_q(1.5, stat / 2.0))
