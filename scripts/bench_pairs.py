@@ -22,6 +22,8 @@ For each workload and end-to-end metric of ``BENCHMARK.json`` the output
 holds each side's values, median and quartiles, the pairs each side won,
 the median and quartiles of the per-pair ratio change/parent
 (``pair_ratio``), the seeds, and the ``correct`` and ``failed`` counts.
+Each side is named by its git commit, if it is a git checkout, and by
+``tree_hash``, which names a copy made with ``git archive`` as well.
 The two runs of a pair follow each other, so a drift of the host's speed
 over minutes moves both and largely cancels out of their ratio, while it
 widens each side's own quartiles.
@@ -30,6 +32,7 @@ widens each side's own quartiles.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -134,6 +137,26 @@ def git_head(checkout: Path):
     return done.stdout.strip()
 
 
+def tree_hash(checkout: Path) -> str:
+    """SHA-256 over the sorted relative paths and bytes of the files under src/ and perfbench/.
+
+    Byte-code caches and the benchmark's own output, perfbench/out/, are left out.
+    """
+    h = hashlib.sha256()
+    files = [
+        f for top in ("src", "perfbench") for f in (checkout / top).rglob("*")
+        if f.is_file() and "__pycache__" not in f.parts
+        and f.relative_to(checkout).parts[:2] != ("perfbench", "out")
+    ]
+    for f in sorted(files, key=lambda f: f.relative_to(checkout).as_posix()):
+        rel = f.relative_to(checkout).as_posix().encode()
+        data = f.read_bytes()
+        for part in (rel, data):
+            h.update(len(part).to_bytes(8, "little"))
+            h.update(part)
+    return h.hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -158,6 +181,7 @@ def main() -> int:
     doc = {
         "pr": args.pr,
         "commits": {s: git_head(d) for s, d in dirs.items()},
+        "trees": {s: tree_hash(d) for s, d in dirs.items()},
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(), "machine": platform.machine()},
         "seconds": args.seconds,
         "command": bench["command"],

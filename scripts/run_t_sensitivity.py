@@ -11,7 +11,7 @@ Example:
 
 import argparse
 
-from exitwalk.bandit import bandit_diff_exit, reward_model
+from exitwalk.bandit import bandit_diff_exit
 from exitwalk.cli import parse_params
 from exitwalk.model import build_model
 from exitwalk.rng import substream
@@ -37,6 +37,6 @@ if __name__ == "__main__":
         rng = substream(args.seed, "tsweep", int(T * 1e6))
         _, trace = bandit_diff_exit(
             rng, model, args.x, args.a, args.b, T, args.N0, args.epsilon, args.M,
-            reward=reward_model(args.reward),
+            reward=args.reward,
         )
         print(f"{T},{trace.rows[-1][3]},{trace.state.greedy_arm()}")

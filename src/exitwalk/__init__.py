@@ -10,11 +10,9 @@ tuned online by an epsilon-greedy bandit minimising the per-simulation cost.
 from .bandit import (
     BanditState,
     BanditTrace,
-    RewardModel,
     WALL_TIME,
     WORK_UNITS,
     bandit_diff_exit,
-    reward_model,
     select_arm,
     update,
 )

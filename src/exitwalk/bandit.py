@@ -1,9 +1,10 @@
 """Epsilon-greedy tuning of the slicing parameter N over arms {2, ..., N0}.
 
-The reward of an arm is the cost of one full exit simulation run with that N
-(wall-clock seconds, or deterministic work units for reproducible tests),
-and the bandit minimises it: with probability 1 - epsilon it replays the arm
-with the smallest empirical mean cost, otherwise it explores that arm's
+The reward of an arm is the cost of one full exit simulation run with that
+N, of one of two kinds: ``WORK_UNITS`` ("work"), the walk's deterministic
+count of sampler events, or ``WALL_TIME`` ("wall"), its wall-clock seconds.
+The bandit minimises it: with probability 1 - epsilon it replays the arm with
+the smallest empirical mean cost, otherwise it explores that arm's
 neighbours N - 1 and N + 1, uniformly among those in 2..N0.  This assumes
 the cost over N is unimodal: then the leader's neighbours are the only arms
 worth exploring (unimodal bandits: Yu & Mannor, ICML 2011; Combes &
@@ -30,13 +31,14 @@ import math
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .model import DiffusionModel, lamperti_forward
 from .random_walk import _TAIL_LANES, ExitRecord, diff_exit, slice_bounds_table
 from .rng import RandomStream
 
 SCHEDULES = ("fixed", "cube_root_decay")
+WORK_UNITS = "work"
+WALL_TIME = "wall"
 # largest lane block banked for one arm: a larger block buys little speed and costs memory
 _BANK = 512
 
@@ -135,24 +137,6 @@ def update(state: BanditState, N: int, reward: float) -> None:
     state.pulls[i] = m + 1
 
 
-@dataclass(frozen=True)
-class RewardModel:
-    kind: str  # "wall_time" | "work_units"
-    extract: Callable[[ExitRecord, float], float]
-
-
-WORK_UNITS = RewardModel("work_units", lambda rec, dt: float(rec.work.total()))
-WALL_TIME = RewardModel("wall_time", lambda rec, dt: max(dt, 1e-9))
-
-
-def reward_model(kind: str) -> RewardModel:
-    if kind in ("work", "work_units"):
-        return WORK_UNITS
-    if kind in ("wall", "wall_time"):
-        return WALL_TIME
-    raise ValueError(f"unknown reward kind {kind!r}")
-
-
 @dataclass
 class BanditTrace:
     # rows: (iteration, N, reward, running mean of rewards, effective epsilon)
@@ -176,7 +160,7 @@ def bandit_diff_exit(
     n0: int,
     epsilon: float,
     M: int,
-    reward: RewardModel = WORK_UNITS,
+    reward: str = WORK_UNITS,
     schedule: str = "fixed",
 ) -> tuple[list[ExitRecord], BanditTrace]:
     """Run M exit simulations, choosing N by epsilon-greedy cost minimisation
@@ -186,18 +170,25 @@ def bandit_diff_exit(
     Every arm's bounds table is built before the first pull, so a wall-clock
     reward never charges that one-off build to an arm.
 
-    With ``reward=WORK_UNITS``, a pull of the greedy arm whose bank is empty
+    ``reward`` is ``WORK_UNITS`` ("work"), the walk's ``work.total()``, or
+    ``WALL_TIME`` ("wall"), the seconds measured around its scalar walk,
+    floored at 1e-9.  Any other kind raises ValueError.
+
+    With the work reward, a pull of the greedy arm whose bank is empty
     refills it with one lane block of ``k = min(_BANK, M - it + 1, pulls of
     that arm)`` walks from ``rng.spawn()``, if k >= ``_TAIL_LANES``, and
     banked walks are popped in lane order.  The law is exact: k may depend
     on the history, but the walks come from a stream no earlier decision
     read, and leftovers are dropped unread.  The spawned draws are added to
     ``rng.draws``.  Every other pull runs one scalar walk on ``rng``; with
-    ``WALL_TIME`` the clock is started and stopped around each, since a
-    block's amortised time would underprice the banked arm.
+    the wall reward every pull does, since a block's amortised time would
+    underprice the banked arm.
     """
     if M < 1:
         raise ValueError(f"need M >= 1, got {M!r}")
+    if reward not in (WORK_UNITS, WALL_TIME):
+        raise ValueError(f"unknown reward kind {reward!r}")
+    work_reward = reward == WORK_UNITS
     state = BanditState(n0=n0, epsilon=epsilon, schedule=schedule)
     a_hat = lamperti_forward(model, a)
     b_hat = lamperti_forward(model, b)
@@ -211,7 +202,7 @@ def bandit_diff_exit(
         arm = select_arm(state, rng)
         bank = banks[arm]
         # select_arm leaves the state alone, so greedy_arm() is still the pre-selection one
-        if not bank and reward is WORK_UNITS and arm == state.greedy_arm():
+        if not bank and work_reward and arm == state.greedy_arm():
             k = min(_BANK, M - it + 1, state.pulls[arm - 2])
             if k >= _TAIL_LANES:
                 child = rng.spawn()
@@ -219,12 +210,11 @@ def bandit_diff_exit(
                 rng.draws += child.draws
         if bank:
             rec = bank.popleft()
-            dt = rec.wall_time
         else:
             t0 = _time.perf_counter()
             rec = diff_exit(rng, model, x, a, b, T, arm, bounds_table=tables[arm])
             dt = _time.perf_counter() - t0
-        r = reward.extract(rec, dt)
+        r = float(rec.work.total()) if work_reward else max(dt, 1e-9)
         update(state, arm, r)
         running += r
         records.append(rec)

@@ -12,9 +12,10 @@ configuration and seed produce byte-identical CSV.  sample, sweep and validate
 run their replications across all cores through parallel.run_replications,
 whose output does not depend on the core count.  Wall-clock columns are
 written as 0.0 unless timing is enabled (--timing, or a wall-clock reward),
-because measured times would break that determinism contract; timing summaries
-go to stderr.  Exit codes: 0 ok, 2 config error, 3 validation failure, 4
-runtime cap exceeded.
+because measured times would break that determinism contract.  A timed
+replication's wall time is the mean over its lane block, so sweep --timing
+writes the mean wall time with nan interval bounds.  Exit codes: 0 ok, 2
+config error, 3 validation failure, 4 runtime cap exceeded.
 """
 
 from __future__ import annotations
@@ -124,7 +125,11 @@ def _parse_T(text: str) -> float:
 def load_config_file(path: str) -> dict:
     """Flat key = value file; '#' starts a comment."""
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -161,7 +166,12 @@ def _merge_config(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
     for key, val in values.items():
         if key not in _CONFIG_PARSERS:
             raise ConfigurationError(f"unknown config key {key!r}")
-        known[key] = _CONFIG_PARSERS[key](val) if isinstance(val, str) else val
+        try:
+            known[key] = _CONFIG_PARSERS[key](val) if isinstance(val, str) else val
+        except ConfigurationError:
+            raise
+        except ValueError as exc:
+            raise ConfigurationError(f"bad value {val!r} for config key {key!r}") from exc
     return replace(cfg, **known)
 
 
@@ -196,8 +206,6 @@ class _Writer:
 def _model_header(writer: _Writer, cfg: ExperimentConfig, model: DiffusionModel) -> None:
     params = ",".join(f"{k}={v!r}" for k, v in model.params)
     writer.raw(f"# model {model.name} params [{params}] seed {cfg.seed}")
-    if model.antiderivative_tol is not None:
-        writer.raw(f"# antiderivative_tol {model.antiderivative_tol!r}")
 
 
 def _wall_ms(cfg: ExperimentConfig, out: dict) -> np.ndarray:
@@ -254,6 +262,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             m = float(arr.mean())
             half = 1.96 * float(arr.std(ddof=1)) / math.sqrt(cfg.M) if cfg.M > 1 else 0.0
             row += [m, m - half, m + half]
+        if cfg.timing:
+            # a block's walks share its mean wall time, so their spread says nothing
+            row[5:7] = [math.nan, math.nan]
         writer.line(*row)
     writer.done()
     return 0
@@ -264,7 +275,7 @@ def cmd_bandit(cfg: ExperimentConfig) -> int:
     rng = substream(cfg.seed, "bandit")
     _records, trace = bandit_mod.bandit_diff_exit(
         rng, model, cfg.x, cfg.a, cfg.b, cfg.T, cfg.N0, cfg.epsilon, cfg.M,
-        reward=bandit_mod.reward_model(cfg.reward), schedule=cfg.schedule,
+        reward=cfg.reward, schedule=cfg.schedule,
     )
     writer = _Writer(cfg.out)
     writer.raw(f"{SCHEMA_PREFIX}.bandit-trace v1")

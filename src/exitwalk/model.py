@@ -70,7 +70,6 @@ class DiffusionModel:
     # exact extrema hooks; None means grid maximisation with a safety pad
     gamma_extrema: Optional[Callable[[float, float], tuple[float, float]]] = None
     log_beta_max: Optional[Callable[[float, float], float]] = None
-    antiderivative_tol: Optional[float] = None
 
     @cached_property
     def gamma_fn(self) -> Callable[[float], float]:
@@ -445,10 +444,8 @@ def make_model(
 
     When no closed-form antiderivative is given, one is backed by adaptive
     quadrature from the anchor 0 (or the domain midpoint-ish anchor for
-    domains excluding 0) at the stated absolute tolerance; the tolerance is
-    recorded on the model so drivers can surface it in output metadata.
+    domains excluding 0) at the stated absolute tolerance.
     """
-    used_tol = None
     if mu0_antiderivative is None:
         lo, hi = domain
         anchor = 0.0 if lo < 0.0 < hi else (lo + min(1.0, (hi - lo) / 2.0) if math.isfinite(lo) else hi - 1.0)
@@ -462,8 +459,6 @@ def make_model(
                     _cache[x] = got
             return got
 
-        used_tol = antiderivative_tol
-
     return DiffusionModel(
         name=name,
         drift=mu0,
@@ -473,7 +468,6 @@ def make_model(
         mu0_antiderivative=mu0_antiderivative,
         lamperti=_identity,
         domain=domain,
-        antiderivative_tol=used_tol,
     )
 
 

@@ -1,13 +1,12 @@
 """Parallel replications with scheduling-independent results.
 
-Below _MIN_LANES replications, replication i draws from substream(seed, tag,
-i) and runs the scalar walk.  From _MIN_LANES on, the replications are cut
-into blocks of _LANES, and block c runs its walks as lockstep lanes from
-substream(seed, tag, "lanes", c).  Either way the arrays depend on (seed,
-tag, n) and never on ``processes``: they are bit-identical whether the work
-runs inline or fanned out over a pool.  Worker processes are forked after the
-case is staged in a module global, which keeps models (closures) out of
-pickling.
+The replications are cut into blocks of _LANES, and block c runs its walks
+as lockstep lanes from substream(seed, tag, "lanes", c).  A block of fewer
+than random_walk._TAIL_LANES walks runs them as scalar walks, one after the
+other from that one stream.  The arrays depend on (seed, tag, n) and never on
+``processes``: they are bit-identical whether the work runs inline or fanned
+out over a pool.  Worker processes are forked after the case is staged in a
+module global, which keeps models (closures) out of pickling.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .random_walk import diff_exit, slice_bounds_table
 from .rng import substream
 
 _CASE = None
-_MIN_LANES = 64  # fewer replications run one scalar walk each
 _LANES = 2048  # replications per lane block; fixed, so no array depends on processes
 
 # output key and dtype, in the order _rows lists one replication's values
@@ -60,25 +58,23 @@ def run_replications(model, x, a, b, T, N, n, seed, tag="rep", processes=None) -
 
     Keys: time, location, wall_time (float64) and work, steps, restarts,
     exit_bm_calls, cond_bm_calls (int64).  Every array except the measured
-    wall_time depends on (seed, tag, n) only, never on ``processes``.
+    wall_time depends on (seed, tag, n) only, never on ``processes``.  Each
+    replication's wall_time is the mean over its lane block.
     """
     global _CASE
     if processes is None:
         processes = os.cpu_count() or 1
-    if n < _MIN_LANES:
-        parts = [_rows(diff_exit(substream(seed, tag, i), model, x, a, b, T, N) for i in range(n))]
-    else:
-        blocks = range((n + _LANES - 1) // _LANES)
-        _CASE = (model, x, a, b, T, N, n, seed, tag)
-        try:
-            if processes <= 1 or len(blocks) < 2 or mp.get_start_method(allow_none=True) not in (None, "fork"):
-                parts = [_run_block(c) for c in blocks]
-            else:
-                # built before the fork, the bounds table is shared instead of built per worker
-                slice_bounds_table(model, lamperti_forward(model, a), lamperti_forward(model, b), N)
-                with mp.get_context("fork").Pool(min(processes, len(blocks))) as pool:
-                    parts = pool.map(_run_block, blocks)
-        finally:
-            _CASE = None
+    blocks = range((n + _LANES - 1) // _LANES)
+    _CASE = (model, x, a, b, T, N, n, seed, tag)
+    try:
+        if processes <= 1 or len(blocks) < 2 or mp.get_start_method(allow_none=True) not in (None, "fork"):
+            parts = [_run_block(c) for c in blocks]
+        else:
+            # built before the fork, the bounds table is shared instead of built per worker
+            slice_bounds_table(model, lamperti_forward(model, a), lamperti_forward(model, b), N)
+            with mp.get_context("fork").Pool(min(processes, len(blocks))) as pool:
+                parts = pool.map(_run_block, blocks)
+    finally:
+        _CASE = None
     columns = list(zip(*(row for part in parts for row in part))) or [()] * len(_COLUMNS)
     return {key: np.array(col, dtype=dtype) for (key, dtype), col in zip(_COLUMNS, columns)}

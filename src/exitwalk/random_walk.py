@@ -108,7 +108,7 @@ class ExitRecord:
     chosen_N: int
 
 
-def _walk(rng, model, grid, pos, T, table, work, max_steps, elapsed=0.0, steps=0, restarts=0):
+def _walk(rng, model, grid, pos, T, table, work, elapsed=0.0, steps=0, restarts=0):
     """Scalar rectangle walk from pos: (elapsed, absorbing grid index 0 or n, steps).
 
     ``elapsed`` and ``steps`` carry a walk already under way, and
@@ -135,11 +135,11 @@ def _walk(rng, model, grid, pos, T, table, work, max_steps, elapsed=0.0, steps=0
         else:
             pos = y
             i = _index(grid, pos)
-        if steps >= max_steps:
-            raise RunawayError(f"diff_exit exceeded {max_steps} rectangle steps")
+        if steps >= _MAX_STEPS:
+            raise RunawayError(f"diff_exit exceeded {_MAX_STEPS} rectangle steps")
 
 
-def _walk_lanes(rng, model, grid, x_hat, T, table, lanes, max_steps):
+def _walk_lanes(rng, model, grid, x_hat, T, table, lanes):
     """``lanes`` walks from x_hat in lockstep, as arrays in lane order: (elapsed, index, steps, work).
 
     Every pass of the loop runs one pass of box_exit's loop body on each
@@ -173,7 +173,7 @@ def _walk_lanes(rng, model, grid, x_hat, T, table, lanes, max_steps):
                 w = WorkCounter(*work[:, k].tolist())
                 lane = ids[k]
                 out_elapsed[lane], out_index[lane], out_steps[lane] = _walk(
-                    rng, model, grid, float(pos[k]), T, table, w, max_steps,
+                    rng, model, grid, float(pos[k]), T, table, w,
                     float(elapsed[k]), int(steps[k]), int(restarts[k]),
                 )
                 out_work[:, lane] = astuple(w)
@@ -198,8 +198,8 @@ def _walk_lanes(rng, model, grid, x_hat, T, table, lanes, max_steps):
         j = s[c] + 1 + np.where(oc == EXITED_UPPER, 1, -1)
         absorbed = (oc != TRUNCATED) & ((j == 0) | (j == n))
         going = c[~absorbed]
-        if len(going) and steps[going].max() >= max_steps:
-            raise RunawayError(f"diff_exit exceeded {max_steps} rectangle steps")
+        if len(going) and steps[going].max() >= _MAX_STEPS:
+            raise RunawayError(f"diff_exit exceeded {_MAX_STEPS} rectangle steps")
         p = np.where(oc == TRUNCATED, y[c], points[np.clip(j, 0, n)])[~absorbed]
         pos[going] = p
         d = grid.delta
@@ -233,7 +233,6 @@ def diff_exit(
     N: int,
     *,
     bounds_table: tuple[IntervalBounds, ...] | None = None,
-    max_steps: int = _MAX_STEPS,
     lanes: int | None = None,
 ) -> ExitRecord | list[ExitRecord]:
     """Exit time and location of the original diffusion from (a, b), started at x.
@@ -271,7 +270,7 @@ def diff_exit(
 
     if lanes is None:
         work = WorkCounter()
-        elapsed, j, steps = _walk(rng, model, grid, x_hat, T, bounds_table, work, max_steps)
+        elapsed, j, steps = _walk(rng, model, grid, x_hat, T, bounds_table, work)
         wall = _time.perf_counter() - t0
         return ExitRecord(
             exit_time=elapsed,
@@ -281,7 +280,7 @@ def diff_exit(
             wall_time=wall,
             chosen_N=N,
         )
-    elapsed, index, steps, work = _walk_lanes(rng, model, grid, x_hat, T, bounds_table, lanes, max_steps)
+    elapsed, index, steps, work = _walk_lanes(rng, model, grid, x_hat, T, bounds_table, lanes)
     wall = (_time.perf_counter() - t0) / lanes
     return [
         ExitRecord(t, a if j == 0 else b, st, WorkCounter(*w), wall, N)

@@ -14,7 +14,6 @@ from exitwalk import (
     brownian,
     diff_exit,
     ornstein_uhlenbeck,
-    reward_model,
     select_arm,
     sinusoidal_drift,
     substream,
@@ -209,14 +208,16 @@ def test_synthetic_environment_concentrates_on_best_arm():
     assert share >= 0.8
 
 
-def test_reward_models():
-    rng = substream(55, "rw")
-    rec = diff_exit(rng, BM, 0.5, 0.0, 1.0, 1.0, 4)
-    assert WORK_UNITS.extract(rec, 0.0) == float(rec.work.total()) > 0.0
-    wall = reward_model("wall").extract(rec, 1e-12)
-    assert wall > 0.0
+def test_reward_models(monkeypatch):
+    recs, trace = bandit_diff_exit(substream(55, "rw"), BM, 0.5, 0.0, 1.0, 1.0, 4, 0.3, 200, reward=WORK_UNITS)
+    assert [row[2] for row in trace.rows] == [float(rec.work.total()) for rec in recs]
+    # a clock that ticks 1e-12 s per reading: every measured walk is shorter than the floor
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(bandit_mod._time, "perf_counter", lambda: next(ticks) * 1e-12)
+    _, trace = bandit_diff_exit(substream(55, "rw"), BM, 0.5, 0.0, 1.0, 1.0, 4, 0.3, 50, reward=WALL_TIME)
+    assert [row[2] for row in trace.rows] == [1e-9] * 50
     with pytest.raises(ValueError):
-        reward_model("boltzmann")
+        bandit_diff_exit(substream(55, "rw"), BM, 0.5, 0.0, 1.0, 1.0, 4, 0.3, 5, reward="boltzmann")
 
 
 def test_bandit_diff_exit_trace_and_determinism():

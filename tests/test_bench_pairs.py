@@ -30,3 +30,25 @@ def test_summary_records_per_pair_ratios():
     assert entry["pair_ratio"]["median"] == entry["pair_ratio"]["q1"] == entry["pair_ratio"]["q3"] == 1.5
     assert entry["parent"]["q3"] - entry["parent"]["q1"] == pytest.approx(50.0)
     assert entry["wins"] == {"parent": 0, "change": 4}
+
+
+def _tree(root, src=b"x = 1\n"):
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "mod.py").write_bytes(src)
+    (root / "perfbench" / "out").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_bytes(b"print()\n")
+    return root
+
+
+def test_tree_hash_names_the_measured_code(tmp_path):
+    bp = _bench_pairs()
+    one, two = _tree(tmp_path / "one"), _tree(tmp_path / "two")
+    assert bp.tree_hash(one) == bp.tree_hash(two)
+    # one changed byte under src/ changes the hash
+    changed = _tree(tmp_path / "changed", src=b"x = 2\n")
+    assert bp.tree_hash(changed) != bp.tree_hash(one)
+    # the benchmark's output and byte-code caches do not
+    (two / "perfbench" / "out" / "ou2-long-seed1-trace0.json").write_text("{}")
+    (two / "src" / "pkg" / "__pycache__").mkdir()
+    (two / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
+    assert bp.tree_hash(two) == bp.tree_hash(one)

@@ -70,6 +70,20 @@ def test_bad_config_key(tmp_path):
     assert main(["sample", "--config", str(cfgfile)]) == 2
 
 
+@pytest.mark.parametrize("line, key", [("M = ten", "'M'"), ("seed = 1.5", "'seed'")])
+def test_malformed_config_value_is_config_error(tmp_path, capsys, line, key):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(line)
+    assert main(["sample", "--config", str(cfgfile)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_missing_config_file_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    assert main(["sample", "--config", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_sample_byte_determinism(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["sample", "--model", "sin", "--a", "0", "--b", "7", "--x", "3",
@@ -126,6 +140,21 @@ def test_sweep_schema_and_determinism(tmp_path):
     data = [ln.split(",") for ln in lines[header_at + 1:]]
     assert [row[0] for row in data] == ["2", "3", "4", "5"]
     assert all(float(row[1]) > 0 for row in data)
+
+
+def test_sweep_timing_writes_nan_wall_interval(tmp_path):
+    out = tmp_path / "timed.csv"
+    rc = main(["sweep", "--model", "cir", "--params", "k=3,theta=7,sigma=1", "--a", "1", "--b", "6",
+               "--x", "3", "--T", "0.5", "--N-min", "4", "--N0", "5", "--M", "100", "--seed", "3",
+               "--timing", "--out", str(out)])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    header_at = next(i for i, ln in enumerate(lines) if ln.startswith("N,"))
+    header = lines[header_at].split(",")
+    for row in lines[header_at + 1:]:
+        cells = dict(zip(header, row.split(",")))
+        assert math.isfinite(float(cells["mean_wall_ms"])) and float(cells["mean_wall_ms"]) > 0.0
+        assert cells["wall_ci_lo"] == cells["wall_ci_hi"] == "nan"
 
 
 def test_sweep_rejects_wide_range():

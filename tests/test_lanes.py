@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import exitwalk.bm_exit as bm_mod
+import exitwalk.random_walk as walk_mod
 from exitwalk import (
     RunawayError,
     brownian,
@@ -89,10 +90,26 @@ def test_scalar_sandwich_deciding_every_lane_keeps_the_law(monkeypatch, case):
 
 
 @pytest.mark.parametrize("lanes", [10, 200])
-def test_step_cap_raises_runaway_per_lane(lanes):
+def test_step_cap_raises_runaway_per_lane(monkeypatch, lanes):
+    monkeypatch.setattr(walk_mod, "_MAX_STEPS", 3)
     # a tiny horizon truncates every rectangle, so no walk gets far in 3 steps
     with pytest.raises(RunawayError):
-        diff_exit(substream(93, "cap"), brownian(), 0.5, 0.0, 1.0, 1e-6, 8, max_steps=3, lanes=lanes)
+        diff_exit(substream(93, "cap"), brownian(), 0.5, 0.0, 1.0, 1e-6, 8, lanes=lanes)
+
+
+@pytest.mark.parametrize("n", [1, 8, 63])
+@pytest.mark.parametrize("case", ["cir", "ou2", "sin"])
+def test_block_below_tail_lanes_is_scalar_walks_in_turn(case, n):
+    assert n < walk_mod._TAIL_LANES
+    model, x, a, b, T, N = CASES[case]
+    N = 12 if case == "sin" else N
+    block_rng, rng = substream(95, "tail", case, n), substream(95, "tail", case, n)
+    block = diff_exit(block_rng, model, x, a, b, T, N, lanes=n)
+    walks = [diff_exit(rng, model, x, a, b, T, N) for _ in range(n)]
+    assert [(r.exit_time, r.exit_location, r.steps, r.work) for r in block] == [
+        (r.exit_time, r.exit_location, r.steps, r.work) for r in walks
+    ]
+    assert block_rng.draws == rng.draws
 
 
 def test_lane_path_reruns_byte_identical():

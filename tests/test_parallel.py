@@ -31,7 +31,6 @@ def _tracer():
 
 
 def test_replications_do_not_depend_on_process_count():
-    # n >= 64, so both runs take the lane path
     args = (ornstein_uhlenbeck(1.0), 3.0, 0.0, 7.0, 1.0, 14, 96, 9)
     one = run_replications(*args, tag="procs", processes=1)
     two = run_replications(*args, tag="procs", processes=2)
@@ -62,7 +61,8 @@ def test_lane_blocks_do_not_depend_on_process_count():
 
 def test_few_replications_keep_one_scalar_walk_each():
     out = run_replications(CIR, 3.0, 1.0, 6.0, 0.5, 16, 8, 13, tag="few", processes=1)
-    recs = [diff_exit(substream(13, "few", i), CIR, 3.0, 1.0, 6.0, 0.5, 16) for i in range(8)]
+    rng = substream(13, "few", "lanes", 0)
+    recs = [diff_exit(rng, CIR, 3.0, 1.0, 6.0, 0.5, 16) for _ in range(8)]
     assert out["time"].tolist() == [r.exit_time for r in recs]
     assert out["location"].tolist() == [r.exit_location for r in recs]
     assert out["work"].tolist() == [r.work.total() for r in recs]
@@ -105,7 +105,7 @@ def test_replications_go_through_the_trace_seams(monkeypatch, n):
     monkeypatch.setattr(parallel_mod, "diff_exit", counting_diff_exit)
     out = run_replications(CIR, 3.0, 1.0, 6.0, 0.5, 16, n, 14, tag="seams", processes=1)
     assert len(out["time"]) == n
-    # one scalar walk per replication below 64, one lane block above
-    assert walks == ([None] * n if n < 64 else [n])
-    assert len(streams) == len(walks)
+    # one lane block of n walks, from one stream, whatever n is
+    assert walks == [n]
+    assert len(streams) == 1
     assert sum(s.draws for s in streams) > 0

@@ -207,10 +207,11 @@ def test_interior_start_audit(monkeypatch):
         diff_exit(rng, BM, 0.52, 0.0, 1.0, 0.02, 8)
 
 
-def test_step_cap_raises_runaway():
+def test_step_cap_raises_runaway(monkeypatch):
+    monkeypatch.setattr(walk_mod, "_MAX_STEPS", 3)
     rng = substream(40, "cap")
     with pytest.raises(RunawayError):
-        diff_exit(rng, BM, 0.5, 0.0, 1.0, 1e-6, 8, max_steps=3)
+        diff_exit(rng, BM, 0.5, 0.0, 1.0, 1e-6, 8)
 
 
 def test_walk_preconditions():
