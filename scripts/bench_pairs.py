@@ -22,8 +22,9 @@ For each workload and end-to-end metric of ``BENCHMARK.json`` the output
 holds each side's values, median and quartiles, the pairs each side won,
 the median and quartiles of the per-pair ratio change/parent
 (``pair_ratio``), the seeds, and the ``correct`` and ``failed`` counts.
-Each side is named by its git commit, if it is a git checkout, and by
-``tree_hash``, which names a copy made with ``git archive`` as well.
+Each side is named by its git commit, if it is a git checkout whose src/
+and perfbench/ match that commit, and by ``tree_hash``, which names a copy
+made with ``git archive`` or an uncommitted change as well.
 The two runs of a pair follow each other, so a drift of the host's speed
 over minutes moves both and largely cancels out of their ratio, while it
 widens each side's own quartiles.
@@ -131,9 +132,15 @@ def summarise(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def git_head(checkout: Path):
+    """The commit the checkout's src/ and perfbench/ hold, or None if they differ from HEAD."""
     done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
         return None  # not a git checkout, e.g. a `git archive` copy
+    dirty = subprocess.run(
+        ["git", "status", "--porcelain", "--", "src", "perfbench"], cwd=checkout, capture_output=True, text=True
+    )
+    if dirty.returncode != 0 or dirty.stdout.strip():
+        return None  # the measured code is not HEAD's; tree_hash still names it
     return done.stdout.strip()
 
 

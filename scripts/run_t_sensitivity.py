@@ -34,7 +34,7 @@ if __name__ == "__main__":
     model = build_model(args.model, parse_params(args.params))
     print("T,final_running_mean,greedy_arm")
     for T in args.T_values:
-        rng = substream(args.seed, "tsweep", int(T * 1e6))
+        rng = substream(args.seed, "tsweep", repr(T))
         _, trace = bandit_diff_exit(
             rng, model, args.x, args.a, args.b, T, args.N0, args.epsilon, args.M,
             reward=args.reward,

@@ -18,11 +18,13 @@ depends only on rewards up to n, and the exit law itself does not depend on
 N, so tuning never perturbs the sampled law.
 
 With the work reward, pulls of the greedy arm are served from a per-arm bank
-of walks drawn ahead as one lane block (``diff_exit(..., lanes=k)``) from a
-freshly spawned stream.  This is the "stack of rewards" view of a bandit
-(Lattimore & Szepesvari, *Bandit Algorithms*, 2020, section 4.6): each pull
-takes the next unread i.i.d. walk of its arm, so the joint law of arms and
-rewards is that of one scalar walk per pull.
+of walks drawn ahead as one block (``diff_exit(..., lanes=k)``) from the
+bandit's own stream.  This is the "stack of rewards" view of a bandit
+(Lattimore & Szepesvari, *Bandit Algorithms*, 2020, section 4.6): the block
+reads variates that no earlier decision read, every later selection reads
+variates after it, and each pull takes the next unread i.i.d. walk of its
+arm, so the joint law of arms and rewards is that of one scalar walk per
+pull.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .model import DiffusionModel, lamperti_forward
-from .random_walk import _TAIL_LANES, ExitRecord, diff_exit, slice_bounds_table
+from .random_walk import ExitRecord, diff_exit, slice_bounds_table
 from .rng import RandomStream
 
 SCHEDULES = ("fixed", "cube_root_decay")
@@ -175,14 +177,13 @@ def bandit_diff_exit(
     floored at 1e-9.  Any other kind raises ValueError.
 
     With the work reward, a pull of the greedy arm whose bank is empty
-    refills it with one lane block of ``k = min(_BANK, M - it + 1, pulls of
-    that arm)`` walks from ``rng.spawn()``, if k >= ``_TAIL_LANES``, and
+    refills it with one block ``diff_exit(rng, ..., lanes=k)`` of ``k =
+    min(_BANK, M - it + 1, pulls of that arm)`` walks, if k >= 1, and
     banked walks are popped in lane order.  The law is exact: k may depend
-    on the history, but the walks come from a stream no earlier decision
-    read, and leftovers are dropped unread.  The spawned draws are added to
-    ``rng.draws``.  Every other pull runs one scalar walk on ``rng``; with
-    the wall reward every pull does, since a block's amortised time would
-    underprice the banked arm.
+    on the history, but the block reads variates no earlier decision read,
+    and leftovers are dropped unread.  Every other pull runs one scalar walk
+    on ``rng``; with the wall reward every pull does, since a block's
+    amortised time would underprice the banked arm.
     """
     if M < 1:
         raise ValueError(f"need M >= 1, got {M!r}")
@@ -204,10 +205,8 @@ def bandit_diff_exit(
         # select_arm leaves the state alone, so greedy_arm() is still the pre-selection one
         if not bank and work_reward and arm == state.greedy_arm():
             k = min(_BANK, M - it + 1, state.pulls[arm - 2])
-            if k >= _TAIL_LANES:
-                child = rng.spawn()
-                bank.extend(diff_exit(child, model, x, a, b, T, arm, bounds_table=tables[arm], lanes=k))
-                rng.draws += child.draws
+            if k:
+                bank.extend(diff_exit(rng, model, x, a, b, T, arm, bounds_table=tables[arm], lanes=k))
         if bank:
             rec = bank.popleft()
         else:

@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"reward must be 'work' or 'wall', got {self.reward!r}")
         if self.schedule not in bandit_mod.SCHEDULES:
             raise ConfigurationError(f"schedule must be one of {bandit_mod.SCHEDULES}")
+        if not self.cases:
+            raise ConfigurationError("need at least one validation case")
         unknown = set(self.cases) - set(_VALIDATION_CASES)
         if unknown:
             raise ConfigurationError(f"unknown validation cases {sorted(unknown)}")

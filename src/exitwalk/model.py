@@ -82,7 +82,7 @@ class DiffusionModel:
 
 
 def _gamma_evaluator(mu0: Callable[[float], float], mu0p: Callable[[float], float]) -> Callable[[float], float]:
-    """The one gamma expression: the samplers and the closed-form bounds evaluate it alike."""
+    """The one gamma expression: the samplers and both kinds of bounds evaluate it alike."""
 
     def gamma_fn(y: float) -> float:
         m = mu0(y)
@@ -169,13 +169,11 @@ def compute_bounds(model: DiffusionModel, l: float, u: float) -> IntervalBounds:
         step = (u - l) / (_GRID_POINTS - 1)
         xs = [l + i * step for i in range(_GRID_POINTS - 1)]
         xs.append(u)
-        mu0 = model.mu0
-        mu0p = model.mu0_prime
+        gamma_fn = model.gamma_fn
         g_lo = math.inf
         g_hi = -math.inf
         for x in xs:
-            m = mu0(x)
-            g = 0.5 * (m * m + mu0p(x))
+            g = gamma_fn(x)
             if g < g_lo:
                 g_lo = g
             if g > g_hi:

@@ -1,18 +1,18 @@
 """Parallel replications with scheduling-independent results.
 
 The replications are cut into blocks of _LANES, and block c runs its walks
-as lockstep lanes from substream(seed, tag, "lanes", c).  A block of fewer
-than random_walk._TAIL_LANES walks runs them as scalar walks, one after the
-other from that one stream.  The arrays depend on (seed, tag, n) and never on
-``processes``: they are bit-identical whether the work runs inline or fanned
-out over a pool.  Worker processes are forked after the case is staged in a
-module global, which keeps models (closures) out of pickling.
+as one ``diff_exit(..., lanes=k)`` call on substream(seed, tag, "lanes", c).
+The arrays depend on (seed, tag, n) and never on ``processes``: they are
+bit-identical whether the work runs inline or fanned out over a pool.
+Worker processes are forked after the case is staged in a module global,
+which keeps models (closures) out of pickling.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import time
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .rng import substream
 _CASE = None
 _LANES = 2048  # replications per lane block; fixed, so no array depends on processes
 
-# output key and dtype, in the order _rows lists one replication's values
+# output key and dtype, in the order _run_block lists one replication's values
 _COLUMNS = (
     ("time", np.float64),
     ("location", np.float64),
@@ -36,21 +36,18 @@ _COLUMNS = (
 )
 
 
-def _rows(records):
-    rows = []
-    for rec in records:
-        w = rec.work
-        rows.append((
-            rec.exit_time, rec.exit_location, w.total(), rec.steps, w.restarts,
-            w.exit_bm_calls, w.cond_bm_calls, rec.wall_time,
-        ))
-    return rows
-
-
 def _run_block(c):
     model, x, a, b, T, N, n, seed, tag = _CASE
     lanes = min(_LANES, n - c * _LANES)
-    return _rows(diff_exit(substream(seed, tag, "lanes", c), model, x, a, b, T, N, lanes=lanes))
+    rng = substream(seed, tag, "lanes", c)
+    t0 = time.perf_counter()
+    records = diff_exit(rng, model, x, a, b, T, N, lanes=lanes)
+    wall = (time.perf_counter() - t0) / lanes
+    return [
+        (rec.exit_time, rec.exit_location, rec.work.total(), rec.steps, rec.work.restarts,
+         rec.work.exit_bm_calls, rec.work.cond_bm_calls, wall)
+        for rec in records
+    ]
 
 
 def run_replications(model, x, a, b, T, N, n, seed, tag="rep", processes=None) -> dict[str, np.ndarray]:
@@ -59,7 +56,8 @@ def run_replications(model, x, a, b, T, N, n, seed, tag="rep", processes=None) -
     Keys: time, location, wall_time (float64) and work, steps, restarts,
     exit_bm_calls, cond_bm_calls (int64).  Every array except the measured
     wall_time depends on (seed, tag, n) only, never on ``processes``.  Each
-    replication's wall_time is the mean over its lane block.
+    replication's wall_time is its block's measured time over the block's
+    size.
     """
     global _CASE
     if processes is None:

@@ -9,15 +9,16 @@ Truncated rectangles hand back an interior position and the walk continues.
 The exit law is independent of N and of the per-rectangle horizon T; both
 parameters only move the cost.
 
-``diff_exit(..., lanes=k)`` runs k independent walks in lockstep as numpy
-lanes (struct-of-arrays), one pass of the rectangle loop per lane at a time,
-with the law and the work counts of k scalar walks.
+``diff_exit(..., lanes=k)`` runs k independent walks with the law and the
+work counts of k scalar walks.  From _TAIL_LANES walks on they run in
+lockstep as numpy lanes (struct-of-arrays), one pass of the rectangle loop
+per lane at a time; fewer run as scalar walks in turn, where lanes would not
+pay for their set-up.
 """
 
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import astuple, dataclass
 from functools import lru_cache
 
@@ -38,7 +39,8 @@ from .model import DiffusionModel, IntervalBounds, check_horizon, compute_bounds
 from .rng import RandomStream
 
 _MAX_STEPS = 10**8
-# below this many active lanes, the lockstep walk hands its lanes to the scalar walk
+# below this many walks, lanes do not pay: a block runs as scalar walks and the
+# lockstep walk hands its stragglers to the scalar walk
 _TAIL_LANES = 64
 
 
@@ -104,7 +106,6 @@ class ExitRecord:
     exit_location: float
     steps: int
     work: WorkCounter
-    wall_time: float
     chosen_N: int
 
 
@@ -142,9 +143,10 @@ def _walk(rng, model, grid, pos, T, table, work, elapsed=0.0, steps=0, restarts=
 def _walk_lanes(rng, model, grid, x_hat, T, table, lanes):
     """``lanes`` walks from x_hat in lockstep, as arrays in lane order: (elapsed, index, steps, work).
 
-    Every pass of the loop runs one pass of box_exit's loop body on each
-    active lane (box_round), then the walk step on the lanes whose rectangle
-    ended; absorbed lanes leave the arrays.  Once fewer than _TAIL_LANES are
+    diff_exit calls it for at least _TAIL_LANES walks.  Every pass of the
+    loop runs one pass of box_exit's loop body on each active lane
+    (box_round), then the walk step on the lanes whose rectangle ended;
+    absorbed lanes leave the arrays.  Once fewer than _TAIL_LANES are
     active, each lane that stands where box_exit starts (at z0 with no time
     elapsed: a new rectangle, or one just rejected) goes on with the scalar
     walk, so the stragglers cost no numpy passes.
@@ -242,10 +244,10 @@ def diff_exit(
     every slice has gamma_inf = 0.
 
     With ``lanes=None`` this is one walk and returns one ExitRecord.  With an
-    integer, it runs that many independent walks in lockstep from the one
-    stream ``rng`` and returns a list of ExitRecords in lane order, each with
-    the law of a single walk; ``wall_time`` is then the wall time of the
-    whole batch divided by ``lanes``.
+    integer, it runs that many independent walks from the one stream ``rng``
+    and returns a list of ExitRecords in lane order, each with the law of a
+    single walk: in lockstep from _TAIL_LANES walks on, and otherwise as
+    scalar walks in turn.
     """
     if not (a < x < b):
         raise ValueError(f"need a < x < b, got a={a!r}, x={x!r}, b={b!r}")
@@ -255,7 +257,6 @@ def diff_exit(
         raise ValueError(f"need T > 0, got {T!r}")
     if lanes is not None and (not isinstance(lanes, int) or lanes < 1):
         raise ValueError(f"need lanes None or an integer >= 1, got {lanes!r}")
-    t0 = _time.perf_counter()
     a_hat = lamperti_forward(model, a)
     b_hat = lamperti_forward(model, b)
     x_hat = lamperti_forward(model, x)
@@ -268,21 +269,15 @@ def diff_exit(
         raise ValueError(f"bounds_table must have {N - 1} entries, got {len(bounds_table)}")
     check_horizon(T, bounds_table)
 
-    if lanes is None:
-        work = WorkCounter()
-        elapsed, j, steps = _walk(rng, model, grid, x_hat, T, bounds_table, work)
-        wall = _time.perf_counter() - t0
-        return ExitRecord(
-            exit_time=elapsed,
-            exit_location=a if j == 0 else b,
-            steps=steps,
-            work=work,
-            wall_time=wall,
-            chosen_N=N,
-        )
+    if lanes is None or lanes < _TAIL_LANES:
+        records = []
+        for _ in range(lanes or 1):
+            work = WorkCounter()
+            elapsed, j, steps = _walk(rng, model, grid, x_hat, T, bounds_table, work)
+            records.append(ExitRecord(elapsed, a if j == 0 else b, steps, work, N))
+        return records[0] if lanes is None else records
     elapsed, index, steps, work = _walk_lanes(rng, model, grid, x_hat, T, bounds_table, lanes)
-    wall = (_time.perf_counter() - t0) / lanes
     return [
-        ExitRecord(t, a if j == 0 else b, st, WorkCounter(*w), wall, N)
+        ExitRecord(t, a if j == 0 else b, st, WorkCounter(*w), N)
         for t, j, st, w in zip(elapsed.tolist(), index.tolist(), steps.tolist(), work.T.tolist())
     ]

@@ -5,8 +5,10 @@ Every sampler in the package draws its variates through a
 of a batched walk.  A fixed seed path and a fixed sequence of calls yield a
 bit-identical variate sequence.
 Substreams are derived from a 64-bit root seed plus a path of names/indices
-(replication index, arm, purpose), so sweeps and parallel replications are
-reproducible regardless of execution order.
+(replication block, purpose), so sweeps and parallel replications are
+reproducible regardless of execution order.  No stream is derived from
+another: a caller that needs more variates, for a bank of walks say, draws
+them from the stream it holds.
 """
 
 from __future__ import annotations
@@ -44,12 +46,11 @@ class RandomStream:
     to audit work accounting.
     """
 
-    __slots__ = ("_ss", "_gen", "_uni", "_u_at", "_nor", "_n_at", "_ua", "_ua_at", "_na", "_na_at", "draws")
+    __slots__ = ("_gen", "_uni", "_u_at", "_nor", "_n_at", "_ua", "_ua_at", "_na", "_na_at", "draws")
 
     def __init__(self, seed=None, *, _seed_sequence=None):
         if _seed_sequence is None:
             _seed_sequence = np.random.SeedSequence(seed)
-        self._ss = _seed_sequence
         self._gen = np.random.Generator(np.random.PCG64(_seed_sequence))
         # native-float buffers: scalar draws stay cheap in tight loops
         self._uni = self._gen.random(_BLOCK).tolist()
@@ -108,13 +109,6 @@ class RandomStream:
         self._na_at = at + n
         self.draws += n
         return self._na[at : at + n]
-
-    def spawn(self) -> "RandomStream":
-        """A new child stream from ``SeedSequence.spawn(1)``; this stream's variates are untouched.
-
-        The k-th child of ``substream(seed, *path)`` is ``substream(seed, *path, k)``.
-        """
-        return RandomStream(_seed_sequence=self._ss.spawn(1)[0])
 
     def exponential(self, rate: float) -> float:
         """Exp(rate) variate; returns inf when rate == 0 without consuming randomness."""

@@ -348,7 +348,21 @@ def test_work_reward_banks_only_greedy_blocks(monkeypatch):
     blocks = [c for c in calls if c[2] is not None]
     assert blocks and len(calls) < 400
     for (greedy, arm), n, lanes in blocks:
-        assert n == arm == greedy and 64 <= lanes <= 512
+        assert n == arm == greedy and 1 <= lanes <= 512
+
+
+def test_every_walk_draws_from_the_bandit_stream(monkeypatch):
+    streams = []
+    real = bandit_mod.diff_exit
+
+    def walk(*args, **kwargs):
+        streams.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bandit_mod, "diff_exit", walk)
+    rng = substream(65, "own")
+    bandit_diff_exit(rng, BM, 0.5, 0.0, 1.0, 1.0, 5, 0.3, 200)
+    assert streams and all(s is rng for s in streams)
 
 
 def test_wall_reward_runs_one_scalar_walk_per_pull(monkeypatch):

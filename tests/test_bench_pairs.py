@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -52,3 +53,22 @@ def test_tree_hash_names_the_measured_code(tmp_path):
     (two / "src" / "pkg" / "__pycache__").mkdir()
     (two / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
     assert bp.tree_hash(two) == bp.tree_hash(one)
+
+
+def _git(root, *args):
+    subprocess.run(
+        ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false", *args],
+        cwd=root, check=True, capture_output=True,
+    )
+
+
+def test_git_head_names_only_an_unchanged_checkout(tmp_path):
+    bp = _bench_pairs()
+    root = _tree(tmp_path / "repo")
+    _git(root, "init", "-q")
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", "seed")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True).stdout.strip()
+    assert bp.git_head(root) == head
+    (root / "src" / "pkg" / "mod.py").write_bytes(b"x = 2\n")
+    assert bp.git_head(root) is None

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -195,6 +198,24 @@ def test_validate_zero_case(tmp_path):
 
 def test_validate_unknown_case():
     assert main(["validate", "--cases", "nonsense", "--M", "10"]) == 2
+
+
+@pytest.mark.parametrize("cases", ["", ","])
+def test_validate_empty_case_list_is_config_error(cases):
+    assert main(["validate", "--cases", cases, "--M", "10"]) == 2
+
+
+def test_t_sensitivity_script_takes_an_infinite_horizon():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_t_sensitivity.py"), "--M", "30", "1", "inf"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = done.stdout.splitlines()
+    assert rows[0] == "T,final_running_mean,greedy_arm"
+    assert [row.split(",")[0] for row in rows[1:]] == ["1.0", "inf"]
 
 
 def test_validation_detects_corrupted_gamma():

@@ -99,8 +99,14 @@ def test_step_cap_raises_runaway_per_lane(monkeypatch, lanes):
 
 @pytest.mark.parametrize("n", [1, 8, 63])
 @pytest.mark.parametrize("case", ["cir", "ou2", "sin"])
-def test_block_below_tail_lanes_is_scalar_walks_in_turn(case, n):
+def test_block_below_tail_lanes_is_scalar_walks_in_turn(monkeypatch, case, n):
     assert n < walk_mod._TAIL_LANES
+
+    def no_lanes(*args):
+        raise AssertionError("lane constants built")
+
+    # such a block sets up no lanes at all
+    monkeypatch.setattr(walk_mod, "slice_constants", no_lanes)
     model, x, a, b, T, N = CASES[case]
     N = 12 if case == "sin" else N
     block_rng, rng = substream(95, "tail", case, n), substream(95, "tail", case, n)

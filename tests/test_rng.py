@@ -62,24 +62,3 @@ def test_array_uniforms_redraw_exact_zeros():
     rng._gen = ZerosFirst()
     u = rng.uniforms(30)
     assert np.all(u > 0.0) and len(calls) >= 2 and rng.draws == 30
-
-
-def test_spawned_children_are_deterministic_and_distinct():
-    parent, again = substream(7, "spawn"), substream(7, "spawn")
-    first, second = parent.spawn(), parent.spawn()
-    assert first.uniforms(64).tobytes() == again.spawn().uniforms(64).tobytes()
-    assert second.uniforms(64).tobytes() == again.spawn().uniforms(64).tobytes()
-    a, b, p = first.uniforms(64), second.uniforms(64), parent.uniforms(64)
-    assert a.tobytes() != b.tobytes()
-    assert p.tobytes() not in (a.tobytes(), b.tobytes())
-
-
-def test_spawning_leaves_the_parent_stream_alone():
-    plain, spawner = substream(8, "spawn"), substream(8, "spawn")
-    for rng in (plain, spawner):
-        rng.uniform(), rng.normal(), rng.uniforms(10)
-    child = spawner.spawn()
-    child.uniforms(100)
-    assert spawner.draws == plain.draws == 12
-    assert [spawner.uniform(), spawner.normal()] == [plain.uniform(), plain.normal()]
-    assert spawner.uniforms(50).tobytes() == plain.uniforms(50).tobytes()
