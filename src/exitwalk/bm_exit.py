@@ -40,7 +40,11 @@ _HALF_PI2 = 0.5 * math.pi * math.pi
 # the n>=2 spectral terms are below _TAIL_ENV_SLACK * exp(-pi^2 t / 2)
 _TAIL_ENV_SLACK = 1.25e-3
 _MAX_TERMS = 10**6
+# cap on the proposals of one rejection loop (on the rounds of a lane loop); a
+# scalar loop counts down from it, which costs less than a range() per call
 _MAX_PROPOSALS = 10**7
+# absolute rounding allowance, over pref, of the two- and six-term image sums of q
+_SUM_ROUNDING = 1e-14
 # a lane rejection loop hands its last few lanes to the scalar sampler
 _FEW_LANES = 16
 _TAIL_TRIES = 4  # normal-tail candidates per lane and pass
@@ -240,18 +244,16 @@ def _accept_hit_density(threshold: float, z: float, t: float) -> bool:
     return _sandwich_accept(threshold, lambda k: _hit_density_bounds(z, t, k), 2)
 
 
-def _accept_hit_cdf(threshold: float, z: float, t: float) -> bool:
+def _accept_hit_cdf(threshold: float, z: float, t: float, rt2: float, s: float) -> bool:
     """threshold <= P(tau <= t, exit at the upper endpoint) for t <= _T_CROSS.
 
     The image series alternates with decreasing terms, so its partial sums
     bracket the value: the first term bounds it from above, the first two from
-    below, the first three from above again.  One or two erfc calls decide
-    almost every threshold; the sandwich settles the rest.
+    below, the first three from above again.  The caller passes rt2 =
+    sqrt(2 t) and the first term s = erfc((1 - z) / rt2), having checked
+    threshold <= s.  One or two more erfc calls decide almost every threshold;
+    the sandwich settles the rest.
     """
-    rt2 = math.sqrt(2.0 * t)
-    s = math.erfc((1.0 - z) / rt2)
-    if threshold > s:
-        return False
     s -= math.erfc((1.0 + z) / rt2)
     if threshold <= s:
         return True
@@ -268,15 +270,23 @@ def _accept_hit_cdf(threshold: float, z: float, t: float) -> bool:
 def _sample_normal_tail(rng: RandomStream, c: float) -> float:
     """|N(0,1)| conditioned on being >= c (c >= 0)."""
     if c < 1.2:
-        while True:
-            v = abs(rng.normal())
+        normal = rng.normal
+        tries = _MAX_PROPOSALS
+        while tries:
+            tries -= 1
+            v = abs(normal())
             if v >= c:
                 return v
-    # Rayleigh-tail proposal with accept probability c / y
-    while True:
-        y = math.sqrt(c * c + 2.0 * rng.exponential(1.0))
-        if rng.uniform() * y <= c:
-            return y
+    else:
+        # Rayleigh-tail proposal with accept probability c / y
+        uniform = rng.uniform
+        tries = _MAX_PROPOSALS
+        while tries:
+            tries -= 1
+            y = math.sqrt(c * c + 2.0 * -math.log1p(-uniform()))
+            if uniform() * y <= c:
+                return y
+    raise ConvergenceError(f"normal-tail sampler stalled at c={c!r}")
 
 
 # _exit_bm_norm alternates between z and 1 - z, and a rectangle restarts from
@@ -308,19 +318,24 @@ def _sample_hit_time(rng: RandomStream, z: float, cap: float = math.inf) -> floa
     else:
         c_env, mass_head, total, trunc = _hit_envelope(z)
     pref = 0.3989422804014327  # 1/sqrt(2 pi)
-    while True:
-        if head_only or rng.uniform() * total < mass_head:
+    uniform = rng.uniform
+    exp = math.exp
+    tries = _MAX_PROPOSALS
+    while tries:
+        tries -= 1
+        if head_only or uniform() * total < mass_head:
             v = _sample_normal_tail(rng, trunc)
             t = d0 * d0 / (v * v)
             if t <= 0.0:
                 continue
-            env = d0 * math.exp(-d0 * d0 / (2.0 * t)) * pref / math.sqrt(t * t * t)
+            env = d0 * exp(-d0 * d0 / (2.0 * t)) * pref / math.sqrt(t * t * t)
         else:
-            t = _T_HEAD + rng.exponential(_HALF_PI2)
-            env = math.pi * c_env * math.exp(-_HALF_PI2 * t)
-        threshold = rng.uniform() * env
+            t = _T_HEAD + -math.log1p(-uniform()) / _HALF_PI2
+            env = math.pi * c_env * exp(-_HALF_PI2 * t)
+        threshold = uniform() * env
         if _accept_hit_density(threshold, z, t):
             return t
+    raise ConvergenceError(f"hitting-time sampler stalled at z={z!r}")
 
 
 def _exit_bm_norm(rng: RandomStream, z: float, cap: float = math.inf) -> tuple[float, bool]:
@@ -339,10 +354,12 @@ def _exit_bm_norm(rng: RandomStream, z: float, cap: float = math.inf) -> tuple[f
         # the first image term bounds each sub-CDF from above and turns most
         # thresholds away before _accept_hit_cdf is called
         rt2 = math.sqrt(2.0 * cap)
-        if u <= math.erfc((1.0 - z) / rt2) and _accept_hit_cdf(u, z, cap):
+        head = math.erfc((1.0 - z) / rt2)
+        if u <= head and _accept_hit_cdf(u, z, cap, rt2, head):
             return _sample_hit_time(rng, z, cap), True
         zl = 1.0 - z
-        if 1.0 - u <= math.erfc((1.0 - zl) / rt2) and _accept_hit_cdf(1.0 - u, zl, cap):
+        head = math.erfc((1.0 - zl) / rt2)
+        if 1.0 - u <= head and _accept_hit_cdf(1.0 - u, zl, cap, rt2, head):
             return _sample_hit_time(rng, zl, cap), False
         return math.inf, False
     if rng.uniform() < z:
@@ -376,20 +393,25 @@ def _cond_bm_norm(rng: RandomStream, z: float, tn: float) -> float:
     Each proposal y is accepted when its threshold is at most q_tn(z, y),
     decided by the k=1 bounds of _kernel_bounds, inlined with their
     tn-only parts computed once per call, and by the sandwich when those
-    leave it open.
+    leave it open.  In the image regime a two-term squeeze decides most
+    proposals before the k=1 bounds are computed.
     """
+    uniform = rng.uniform
+    exp = math.exp
     if tn >= _T_CROSS:
         a = _HALF_PI2 * tn
         two_sin_z = 2.0 * math.sin(math.pi * z)
-        ea = math.exp(-a)
-        tail = 2.0 * math.exp(-4.0 * a) / (1.0 - math.exp(-4.0 * a))
+        ea = exp(-a)
+        tail = 2.0 * exp(-4.0 * a) / (1.0 - exp(-4.0 * a))
         sup_q = two_sin_z * ea + tail
         # sup_q bounds the kernel, and with it the survival probability, from above
         if sup_q < 1e-300:
             raise DegenerateInputError(f"survival probability underflow at normalised t={tn!r}")
-        for _ in range(_MAX_PROPOSALS):
-            y = rng.uniform()
-            threshold = rng.uniform() * sup_q
+        tries = _MAX_PROPOSALS
+        while tries:
+            tries -= 1
+            y = uniform()
+            threshold = uniform() * sup_q
             q = two_sin_z * math.sin(math.pi * y) * ea
             if threshold <= q - tail:
                 return y
@@ -402,22 +424,41 @@ def _cond_bm_norm(rng: RandomStream, z: float, tn: float) -> float:
     s = math.sqrt(tn)
     inv2t = 0.5 / tn
     pref = 1.0 / math.sqrt(6.283185307179586 * tn)
-    tail = 4.0 * pref * math.exp(-4.0 * inv2t) / (1.0 - math.exp(-6.0 / tn))
-    for _ in range(_MAX_PROPOSALS):
-        y = z + s * rng.normal()
+    e4 = exp(-4.0 * inv2t)
+    tail = 4.0 * pref * e4 / (1.0 - exp(-6.0 / tn))
+    # Squeeze: with d = y - z in (-1, 1) and y + z in (0, 2), the k=1 sum is
+    # lead - near + (e(d + 2) + e(d - 2)) - (e(y + z + 2) + far), where e(v) =
+    # exp(-v^2 inv2t), lead = e(d), near = e(m) for the smaller in size of
+    # m = y + z and y + z - 2, and far = e of the other.  In each bracket one
+    # argument has size at least 1 and the other at least 2, so each bracket
+    # lies in [0, exp(-inv2t) + e4], and q lies within pref times that of
+    # pref (lead - near).  The band adds tail and the rounding of either sum,
+    # so a threshold outside it is decided as the k=1 bounds decide it.
+    band = pref * (exp(-inv2t) + e4 + _SUM_ROUNDING) + tail
+    normal = rng.normal
+    tries = _MAX_PROPOSALS
+    while tries:
+        tries -= 1
+        y = z + s * normal()
         if not 0.0 < y < 1.0:
             continue
         d = y - z
-        lead = math.exp(-d * d * inv2t)  # the proposal density's shape and the kernel's j=0 term
-        threshold = rng.uniform() * pref * lead
+        lead = exp(-d * d * inv2t)  # the proposal density's shape and the kernel's j=0 term
+        threshold = uniform() * pref * lead
         ypz = y + z
+        m = ypz if ypz <= 1.0 else ypz - 2.0
+        q = (lead - exp(-m * m * inv2t)) * pref
+        if threshold <= q - band:
+            return y
+        if threshold > q + band:
+            continue
         q = (
             lead
-            - math.exp(-ypz * ypz * inv2t)
-            + math.exp(-(d + 2.0) * (d + 2.0) * inv2t)
-            - math.exp(-(ypz + 2.0) * (ypz + 2.0) * inv2t)
-            + math.exp(-(d - 2.0) * (d - 2.0) * inv2t)
-            - math.exp(-(ypz - 2.0) * (ypz - 2.0) * inv2t)
+            - exp(-ypz * ypz * inv2t)
+            + exp(-(d + 2.0) * (d + 2.0) * inv2t)
+            - exp(-(ypz + 2.0) * (ypz + 2.0) * inv2t)
+            + exp(-(d - 2.0) * (d - 2.0) * inv2t)
+            - exp(-(ypz - 2.0) * (ypz - 2.0) * inv2t)
         ) * pref
         if threshold <= q - tail:
             return y

@@ -27,6 +27,7 @@ from .model import DiffusionModel, IntervalBounds, check_horizon, compute_bounds
 from .rng import RandomStream
 
 _MAX_RESTARTS = 10**9
+_tuple_new = tuple.__new__  # builds a BoxOutcome without the NamedTuple's Python-level __new__
 
 
 @dataclass(slots=True)
@@ -84,7 +85,8 @@ def box_exit(
     g_inf = bounds.gamma_inf
     g_range = bounds.gamma_range
     log_bsup = bounds.log_beta_sup
-    check_horizon(T, (bounds,))
+    if T == math.inf:
+        check_horizon(T, (bounds,))
     gamma = model.gamma_fn
     anti = model.mu0_antiderivative
     w = work if work is not None else WorkCounter()
@@ -101,6 +103,7 @@ def box_exit(
 
     z = z0
     elapsed = 0.0
+    left = T  # T - elapsed
     n_restart = n_exit = n_cond = n_exp = n_uni = 0
     try:
         while True:
@@ -110,7 +113,7 @@ def box_exit(
             else:
                 e = inf
             # an exit after the clock or the horizon is reported as s_norm = inf
-            s_norm, upper = _exit_bm_norm(rng, z, (e if e < T - elapsed else T - elapsed) / wsq)
+            s_norm, upper = _exit_bm_norm(rng, z, (e if e < left else left) / wsq)
             n_exit += 1
             t_hit = elapsed + s_norm * wsq
             t_thin = elapsed + e
@@ -122,14 +125,14 @@ def box_exit(
                     n_uni += 1
                     ok = log(uniform()) <= g_inf * (T - t_hit)
                 if ok:
-                    return BoxOutcome(t_hit, u if upper else l, True, w)
+                    return _tuple_new(BoxOutcome, (t_hit, u if upper else l, True, w))
             elif T <= t_thin:
-                yn = _cond_bm_norm(rng, z, (T - elapsed) / wsq)
+                yn = _cond_bm_norm(rng, z, left / wsq)
                 n_cond += 1
                 n_uni += 1
                 y = l + yn * width
                 if l < y < u and log(uniform()) <= anti(y) - log_bsup:
-                    return BoxOutcome(T, y, False, w)
+                    return _tuple_new(BoxOutcome, (T, y, False, w))
             else:
                 yn = _cond_bm_norm(rng, z, e / wsq)
                 n_cond += 1
@@ -138,6 +141,7 @@ def box_exit(
                 if l < y < u and g_range * uniform() > gamma(y) - g_inf:
                     z = yn
                     elapsed = t_thin
+                    left = T - elapsed
                     continue
 
             n_restart += 1
@@ -145,6 +149,7 @@ def box_exit(
                 raise RunawayError(f"box_exit exceeded {max_restarts} restarts on ({l!r}, {u!r})")
             z = z0
             elapsed = 0.0
+            left = T
     finally:
         w.restarts += n_restart
         w.exit_bm_calls += n_exit

@@ -36,6 +36,7 @@ from .quadrature import adaptive_simpson
 
 _GRID_POINTS = 10_001
 _PAD = 1e-6
+_ANTIDERIVATIVE_TOL = 1e-12  # absolute, of make_model's quadrature-backed antiderivative
 # Relative rounding allowance of the few-operation gamma and antiderivative
 # evaluators, twice over: once at the candidate point, once at any other point.
 _ROUNDING = 16 * sys.float_info.epsilon
@@ -97,11 +98,11 @@ class IntervalBounds:
 
     ``gamma_inf`` is clamped at zero (it enters the algorithm only through
     nonpositive exponents), ``gamma_range = gamma_sup - gamma_inf`` is the
-    thinning rate, and ``log_beta_sup`` duplicates ``beta_sup`` in log space
-    for overflow-free acceptance tests.
+    thinning rate, and ``log_beta_sup`` is the log of the sup of beta.  The
+    sup of beta itself is never formed: it overflows long before the
+    acceptance tests, which work in log space, would.
     """
 
-    beta_sup: float
     gamma_inf: float
     gamma_sup: float
     gamma_range: float
@@ -190,11 +191,10 @@ def compute_bounds(model: DiffusionModel, l: float, u: float) -> IntervalBounds:
         bsup = _pad_up(bmax)
         log_bsup = math.log(bsup)
         gamma_inf = min(g_lo, 0.0)
-        return IntervalBounds(bsup, gamma_inf, g_hi, g_hi - gamma_inf, log_bsup)
+        return IntervalBounds(gamma_inf, g_hi, g_hi - gamma_inf, log_bsup)
 
     gamma_inf = min(g_lo, 0.0)
     return IntervalBounds(
-        beta_sup=math.exp(log_bsup),
         gamma_inf=gamma_inf,
         gamma_sup=g_hi,
         gamma_range=g_hi - gamma_inf,
@@ -436,13 +436,12 @@ def make_model(
     mu0_antiderivative: Optional[Callable[[float], float]] = None,
     *,
     domain: tuple[float, float] = (-math.inf, math.inf),
-    antiderivative_tol: float = 1e-12,
 ) -> DiffusionModel:
     """User-defined unit-diffusion model.
 
     When no closed-form antiderivative is given, one is backed by adaptive
     quadrature from the anchor 0 (or the domain midpoint-ish anchor for
-    domains excluding 0) at the stated absolute tolerance.
+    domains excluding 0) to an absolute tolerance of ``_ANTIDERIVATIVE_TOL``.
     """
     if mu0_antiderivative is None:
         lo, hi = domain
@@ -452,7 +451,7 @@ def make_model(
         def mu0_antiderivative(x: float, _anchor=anchor, _cache=cache) -> float:
             got = _cache.get(x)
             if got is None:
-                got = adaptive_simpson(mu0, _anchor, x, antiderivative_tol).value
+                got = adaptive_simpson(mu0, _anchor, x, _ANTIDERIVATIVE_TOL).value
                 if len(_cache) < 65536:
                     _cache[x] = got
             return got

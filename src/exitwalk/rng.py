@@ -9,11 +9,20 @@ Substreams are derived from a 64-bit root seed plus a path of names/indices
 reproducible regardless of execution order.  No stream is derived from
 another: a caller that needs more variates, for a bank of walks say, draws
 them from the stream it holds.
+
+The scalar draws ``uniform()`` and ``normal()`` are C-level iterators: each
+is the ``__next__`` of an ``itertools.chain`` over blocks of 1,024 variates,
+so a draw runs no Python bytecode.  The first uniform block and then the
+first normal block are drawn at construction, and each later block when a
+draw finds the previous one used up; no seeded byte differs from the earlier
+per-draw buffers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import zlib
 
 import numpy as np
@@ -37,51 +46,76 @@ def _spawn_key(path) -> tuple[int, ...]:
     return tuple(key)
 
 
+class _Blocks:
+    """The blocks behind one scalar draw, as an iterator of list iterators.
+
+    The first block is drawn at construction and each later one when the
+    chain asks for it.  Exact zeros are dropped from a block when it is drawn
+    if ``positive``.  It holds the generator's method and never the stream,
+    so a stream is freed by reference counting alone.
+    """
+
+    __slots__ = ("_draw", "_positive", "_first", "_live", "_size", "_done")
+
+    def __init__(self, draw, positive: bool = False):
+        self._draw = draw
+        self._positive = positive
+        self._first = self._block()
+        self._live = iter(())
+        self._size = self._done = 0
+
+    def _block(self) -> list[float]:
+        values = self._draw(_BLOCK).tolist()
+        if self._positive and 0.0 in values:
+            values = [v for v in values if v > 0.0]
+        return values
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        values = self._first if self._first is not None else self._block()
+        self._first = None
+        self._done += self._size
+        self._size = len(values)
+        self._live = iter(values)
+        return self._live
+
+    def served(self) -> int:
+        """Variates handed out so far: finished blocks, then the live block's position."""
+        return self._done + self._size - operator.length_hint(self._live)
+
+
 class RandomStream:
     """Buffered scalar uniform/normal/exponential source over PCG64, plus array draws.
 
     ``uniform()`` and ``uniforms(n)`` return values in the open interval
-    (0, 1) so callers can take logarithms without guards.  ``draws`` counts
+    (0, 1) so callers can take logarithms without guards; ``normal()``
+    returns one standard normal variate.  The read-only ``draws`` counts
     variates actually served, scalar or in arrays, which test harnesses use
     to audit work accounting.
     """
 
-    __slots__ = ("_gen", "_uni", "_u_at", "_nor", "_n_at", "_ua", "_ua_at", "_na", "_na_at", "draws")
+    __slots__ = ("_gen", "_uni", "_nor", "uniform", "normal", "_ua", "_ua_at", "_na", "_na_at", "_array_draws")
 
     def __init__(self, seed=None, *, _seed_sequence=None):
         if _seed_sequence is None:
             _seed_sequence = np.random.SeedSequence(seed)
         self._gen = np.random.Generator(np.random.PCG64(_seed_sequence))
-        # native-float buffers: scalar draws stay cheap in tight loops
-        self._uni = self._gen.random(_BLOCK).tolist()
-        self._u_at = 0
-        self._nor = self._gen.standard_normal(_BLOCK).tolist()
-        self._n_at = 0
+        # native-float blocks: the first uniform block, then the first normal one
+        self._uni = _Blocks(self._gen.random, positive=True)
+        self._nor = _Blocks(self._gen.standard_normal)
+        self.uniform = itertools.chain.from_iterable(self._uni).__next__
+        self.normal = itertools.chain.from_iterable(self._nor).__next__
         # array buffers, filled on the first array draw
         self._ua = self._na = _EMPTY
         self._ua_at = self._na_at = 0
-        self.draws = 0
+        self._array_draws = 0
 
-    def uniform(self) -> float:
-        """One uniform variate in the open interval (0, 1)."""
-        while True:
-            if self._u_at == _BLOCK:
-                self._uni = self._gen.random(_BLOCK).tolist()
-                self._u_at = 0
-            u = self._uni[self._u_at]
-            self._u_at += 1
-            if u > 0.0:
-                self.draws += 1
-                return u
-
-    def normal(self) -> float:
-        if self._n_at == _BLOCK:
-            self._nor = self._gen.standard_normal(_BLOCK).tolist()
-            self._n_at = 0
-        z = self._nor[self._n_at]
-        self._n_at += 1
-        self.draws += 1
-        return z
+    @property
+    def draws(self) -> int:
+        """Variates served so far, scalar or in arrays."""
+        return self._uni.served() + self._nor.served() + self._array_draws
 
     def uniforms(self, n: int) -> np.ndarray:
         """n uniform variates in the open interval (0, 1), as a read-only array."""
@@ -95,7 +129,7 @@ class RandomStream:
             self._ua_at = 0
         at = self._ua_at
         self._ua_at = at + n
-        self.draws += n
+        self._array_draws += n
         return self._ua[at : at + n]
 
     def normals(self, n: int) -> np.ndarray:
@@ -107,7 +141,7 @@ class RandomStream:
             self._na_at = 0
         at = self._na_at
         self._na_at = at + n
-        self.draws += n
+        self._array_draws += n
         return self._na[at : at + n]
 
     def exponential(self, rate: float) -> float:

@@ -23,12 +23,11 @@ from exitwalk.bm_exit import _kernel_bounds, _resolve
 
 
 def inflate(bounds: IntervalBounds, factor: float = 2.0) -> IntervalBounds:
-    """Conservative variant: beta_sup and gamma_range scaled, gamma_inf kept."""
+    """Conservative variant: the sup of beta and gamma_range scaled, gamma_inf kept."""
     if factor < 1.0:
         raise ValueError("inflation factor must be >= 1")
     gamma_sup = bounds.gamma_inf + factor * bounds.gamma_range
     return IntervalBounds(
-        beta_sup=bounds.beta_sup * factor,
         gamma_inf=bounds.gamma_inf,
         gamma_sup=gamma_sup,
         gamma_range=gamma_sup - bounds.gamma_inf,

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -16,13 +17,18 @@ from exitwalk.bm_exit import (
     _exit_bm_norm,
     _hit_cdf_bounds,
     _hit_density_bounds,
+    _cond_bm_norm,
     _kernel_bounds,
     _resolve,
     _sample_hit_time,
+    _sample_normal_tail,
+    _sandwich_accept,
     _survival_bounds,
     _T_CROSS,
 )
 from stat_helpers import absorbing_kernel, binomial_z, ks_1sample, ks_2sample, ks_critical
+
+bm_mod = importlib.import_module("exitwalk.bm_exit")
 
 
 def _sample_exits(seed, x, l, u, n):
@@ -301,3 +307,82 @@ def test_hit_cdf_bounds_bracket():
 def test_resolve_raises_when_bounds_stagnate():
     with pytest.raises(ConvergenceError):
         _resolve(lambda k: (0.0, 1.0), 1e-6)
+
+
+class _Scripted:
+    """A stream that serves the given normals and uniforms in turn."""
+
+    def __init__(self, normals, uniforms):
+        self.normal = iter(normals).__next__
+        self.uniform = iter(uniforms).__next__
+
+
+def _six_term(z, y, tn):
+    """(q, tail): the k=1 image sum of q_tn(z, y) and its tail bound, as _cond_bm_norm computed them before the squeeze."""
+    inv2t = 0.5 / tn
+    pref = 1.0 / math.sqrt(6.283185307179586 * tn)
+    tail = 4.0 * pref * math.exp(-4.0 * inv2t) / (1.0 - math.exp(-6.0 / tn))
+    d = y - z
+    ypz = y + z
+    q = (
+        math.exp(-d * d * inv2t)
+        - math.exp(-ypz * ypz * inv2t)
+        + math.exp(-(d + 2.0) * (d + 2.0) * inv2t)
+        - math.exp(-(ypz + 2.0) * (ypz + 2.0) * inv2t)
+        + math.exp(-(d - 2.0) * (d - 2.0) * inv2t)
+        - math.exp(-(ypz - 2.0) * (ypz - 2.0) * inv2t)
+    ) * pref
+    return q, tail
+
+
+def _six_term_decision(z, y, tn, threshold):
+    """threshold <= q_tn(z, y) as the image regime decided it before the squeeze: k=1 bounds, then the sandwich."""
+    q, tail = _six_term(z, y, tn)
+    if threshold <= q - tail:
+        return True
+    if threshold > q + tail:
+        return False
+    return _sandwich_accept(threshold, lambda k: _kernel_bounds(z, y, tn, k), 2)
+
+
+def test_image_squeeze_decides_as_the_six_term_test():
+    """Thresholds a few ulps around q -/+ tail, around q and around the
+    squeeze's own edges: the first proposal is accepted exactly when the
+    six-term test accepts it (a rejected one is followed by a sure accept at
+    y = z)."""
+    checked = 0
+    for z in (0.03, 0.2, 0.5, 0.77, 0.97):
+        for tn in (1e-4, 0.01, 0.05, 0.15, 0.3, 0.318):
+            s = math.sqrt(tn)
+            inv2t = 0.5 / tn
+            pref = 1.0 / math.sqrt(6.283185307179586 * tn)
+            for v in (-2.5, -1.0, -0.3, 0.4, 1.2, 2.8):
+                y = z + s * v
+                if not 0.0 < y < 1.0:
+                    continue
+                q, tail = _six_term(z, y, tn)
+                d = y - z
+                lead = math.exp(-d * d * inv2t)
+                m = min(y + z, 2.0 - y - z)
+                q2 = (lead - math.exp(-m * m * inv2t)) * pref
+                band = pref * (math.exp(-inv2t) + math.exp(-4.0 * inv2t)) + tail
+                for edge in (q - tail, q, q + tail, q2 - band, q2 + band):
+                    u = edge / (pref * lead)
+                    for _ in range(4):
+                        u = math.nextafter(u, 0.0)
+                    for _ in range(9):
+                        if 0.0 < u < 1.0:
+                            expected = _six_term_decision(z, y, tn, u * pref * lead)
+                            got = _cond_bm_norm(_Scripted([v, 0.0], [u, 1e-300]), z, tn)
+                            assert got == (y if expected else z), (z, tn, v, u)
+                            checked += 1
+                        u = math.nextafter(u, 1.0)
+    assert checked > 1000
+
+
+def test_normal_tail_loops_are_capped(monkeypatch):
+    monkeypatch.setattr(bm_mod, "_MAX_PROPOSALS", 100)
+    stuck = _Scripted(iter(lambda: 0.0, None), iter(lambda: 1.0 - 2.0**-53, None))
+    for c in (0.5, 2.0):  # the plain loop, then the Rayleigh loop
+        with pytest.raises(ConvergenceError, match="normal-tail"):
+            _sample_normal_tail(stuck, c)

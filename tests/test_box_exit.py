@@ -214,7 +214,6 @@ def test_capped_exit_keeps_box_law_and_work(monkeypatch, case):
 def test_work_cap_raises_runaway():
     bounds = compute_bounds(OU1, 0.0, 1.0)
     starved = box_mod.IntervalBounds(
-        beta_sup=bounds.beta_sup * 1e30,
         gamma_inf=bounds.gamma_inf,
         gamma_sup=bounds.gamma_sup,
         gamma_range=bounds.gamma_range,

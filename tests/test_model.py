@@ -67,7 +67,7 @@ def test_gamma_cir_matches_displayed_formula():
 def test_bounds_ou_closed_form():
     # the exact extrema 1, -0.5 and 24, each padded outward by a few ulps of its terms
     b = compute_bounds(OU1, 0.0, 7.0)
-    assert 1.0 < b.beta_sup < 1.0 + 1e-12
+    assert 0.0 < b.log_beta_sup < math.log1p(1e-12)
     assert -0.5 - 1e-12 < b.gamma_inf < -0.5
     assert 24.0 < b.gamma_sup < 24.0 + 1e-12
     assert b.gamma_range == b.gamma_sup - b.gamma_inf
@@ -75,7 +75,7 @@ def test_bounds_ou_closed_form():
 
 def test_bounds_zero_drift():
     b = compute_bounds(BM, -3.0, 11.0)
-    assert (b.beta_sup, b.gamma_inf, b.gamma_sup, b.gamma_range) == (1.0, 0.0, 0.0, 0.0)
+    assert (b.log_beta_sup, b.gamma_inf, b.gamma_sup, b.gamma_range) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_bounds_sin_gamma_inf_clamped_to_zero():
@@ -95,15 +95,14 @@ def test_bounds_dominate_on_fine_grid(model, lo, hi):
         g = gamma(model, x)
         assert b.gamma_inf <= min(g, 0.0)
         assert g <= b.gamma_sup
-        assert beta(model, x) <= b.beta_sup
+        assert beta(model, x) <= math.exp(b.log_beta_sup)
     assert b.gamma_range == b.gamma_sup - b.gamma_inf
-    assert b.log_beta_sup == pytest.approx(math.log(b.beta_sup), rel=1e-12)
 
 
 def test_bounds_inflated():
     b = compute_bounds(OU1, 0.0, 7.0)
     infl = inflate(b, 2.0)
-    assert infl.beta_sup == pytest.approx(2.0 * b.beta_sup)
+    assert infl.log_beta_sup == pytest.approx(b.log_beta_sup + math.log(2.0))
     assert infl.gamma_inf == b.gamma_inf
     assert infl.gamma_range == pytest.approx(2.0 * b.gamma_range)
     assert infl.gamma_range == infl.gamma_sup - infl.gamma_inf
@@ -165,7 +164,7 @@ def test_make_model_quadrature_backed_antiderivative():
     for x in (-2.0, 0.7, 3.1):
         assert m.mu0_antiderivative(x) == pytest.approx(math.sin(x), abs=1e-10)
     b = compute_bounds(m, 0.0, 2.0)
-    assert b.beta_sup >= math.exp(1.0)  # sup of exp(sin) on [0, 2]
+    assert b.log_beta_sup >= 1.0  # sup of sin on [0, 2], the log of the sup of exp(sin)
 
 
 def test_build_model_registry():

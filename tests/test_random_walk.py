@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 walk_mod = importlib.import_module("exitwalk.random_walk")
+bm_mod = importlib.import_module("exitwalk.bm_exit")
 from exitwalk import (
     ConfigurationError,
+    ConvergenceError,
     RunawayError,
     SliceGrid,
     brownian,
@@ -205,6 +207,24 @@ def test_interior_start_audit(monkeypatch):
     rng = substream(39, "audit")
     while seen["count"] < 1_000_000:
         diff_exit(rng, BM, 0.52, 0.0, 1.0, 0.02, 8)
+
+
+def test_sin_walk_far_from_the_origin_returns():
+    # past x = 354 the antiderivative 2x + 1 - cos x exceeds the log of the
+    # largest float; the bounds stay in log space, so the walk still runs
+    rec = diff_exit(substream(1), SIN, 1003.0, 1000.0, 1007.0, 1.0, 12)
+    assert rec.exit_location in (1000.0, 1007.0) and rec.exit_time > 0.0
+
+
+def test_start_next_to_the_lower_end_raises_instead_of_spinning(monkeypatch):
+    # 1 - (1 - 1e-20) rounds to 0, so every hit-time proposal is t = 0; the
+    # proposal cap turns the endless loop into an error that names it, after
+    # a number of draws proportional to the cap
+    monkeypatch.setattr(bm_mod, "_MAX_PROPOSALS", 10**4)
+    rng = substream(1)
+    with pytest.raises(ConvergenceError, match="hitting-time"):
+        diff_exit(rng, BM, 1e-20, 0.0, 1.0, 1.0, 2)
+    assert 10**4 <= rng.draws <= 3 * 10**4
 
 
 def test_step_cap_raises_runaway(monkeypatch):
