@@ -29,7 +29,6 @@ from .errors import (
 from .model import (
     DiffusionModel,
     IntervalBounds,
-    beta,
     brownian,
     build_model,
     compute_bounds,

@@ -9,17 +9,22 @@ for the heat kernel with absorption at both endpoints:
 * spectral (sine) series, sharp for large ``t``:
       q_t(z, y) = sum_n  2 sin(n pi z) sin(n pi y) exp(-n^2 pi^2 t / 2)
 
-The density of hitting the upper endpoint at time t (before the lower one)
-has matching twins,
+The hitting problem has one coordinate: d, the normalised distance from the
+start to the endpoint being hit.  The density of hitting it at time t
+(before the other endpoint) has matching twins,
 
-      f(t | z) = (2 pi t^3)^(-1/2) sum_j (-1)^j d_j exp(-d_j^2 / (2t)),
-                 d_{2i} = (2i+1) - z,  d_{2i+1} = (2i+1) + z,
-      f(t | z) = pi sum_n (-1)^(n+1) n sin(n pi z) exp(-n^2 pi^2 t / 2),
+      f(t | d) = (2 pi t^3)^(-1/2) sum_j (-1)^j d_j exp(-d_j^2 / (2t)),
+                 d_j = j + d for even j,  j + 1 - d for odd j  (d, 2 - d, 2 + d, ...),
+      f(t | d) = pi sum_n n sin(n pi d) exp(-n^2 pi^2 t / 2),
 
 and every accept/reject decision is taken against rigorous lower/upper
 partial-sum bounds of these series, so no series is ever summed to
 completion and no decision is ever approximate.  The crossover between the
-twins sits at the theta-duality point t = (u-l)^2 / pi.
+twins sits at the theta-duality point t = (u-l)^2 / pi.  Hitting densities
+are compared times sqrt(2 pi t^3), so the image series carries no prefactor
+and no power of a tiny t is ever formed.  Each caller computes d from the
+raw position, (x - l)/(u - l) or (u - x)/(u - l), never as one minus the
+other distance.
 """
 
 from __future__ import annotations
@@ -36,6 +41,8 @@ from .rng import RandomStream
 _T_CROSS = 1.0 / math.pi  # series crossover, normalised time
 _T_HEAD = 0.5  # head/tail split of the exit-time proposal envelope
 _HALF_PI2 = 0.5 * math.pi * math.pi
+# f(t | d) sqrt(2 pi t^3) = _PI_SQRT_2PI t^1.5 sum_n n sin(n pi d) exp(-n^2 pi^2 t / 2)
+_PI_SQRT_2PI = math.pi * math.sqrt(2.0 * math.pi)
 # sum_{n>=2} n exp(-n^2 a) <= 2 exp(-4a) / (1 - exp(-4a))^2, so for t >= _T_HEAD
 # the n>=2 spectral terms are below _TAIL_ENV_SLACK * exp(-pi^2 t / 2)
 _TAIL_ENV_SLACK = 1.25e-3
@@ -71,33 +78,34 @@ def _norm_cdf(x: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hit_density_bounds(z: float, t: float, k: int) -> tuple[float, float]:
-    """Bounds on the upper-endpoint hitting density f(t | z) after k terms."""
+def _image_distance(j: int, d: float) -> float:
+    """d_j of the image series: d, 2 - d, 2 + d, 4 - d, ..."""
+    return j + d if j % 2 == 0 else j + 1 - d
+
+
+def _hit_density_bounds(d: float, t: float, k: int) -> tuple[float, float]:
+    """Bounds on the hitting density f(t | d) times sqrt(2 pi t^3), after k terms."""
     if t <= _T_CROSS:
-        # image series: terms decrease from j = 1 on (d_1 = 1 + z > sqrt(t))
-        pref = 1.0 / math.sqrt(2.0 * math.pi * t * t * t)
+        # image series: terms decrease from j = 1 on (d_1 = 2 - d > sqrt(t))
+        t2 = t + t
         s = 0.0
         for j in range(k + 1):
-            half = j >> 1
-            d = (2 * half + 1) - z if j % 2 == 0 else (2 * half + 1) + z
-            c = d * math.exp(-d * d / (2.0 * t)) * pref
+            dj = _image_distance(j, d)
+            c = dj * math.exp(-dj * dj / t2)
             s += -c if j & 1 else c
-        jn = k + 1
-        half = jn >> 1
-        dn = (2 * half + 1) - z if jn % 2 == 0 else (2 * half + 1) + z
-        cn = dn * math.exp(-dn * dn / (2.0 * t)) * pref
+        dn = _image_distance(k + 1, d)
+        cn = dn * math.exp(-dn * dn / t2)
         if k & 1:
             return max(s, 0.0), s + cn
         return max(s - cn, 0.0), s
     a = _HALF_PI2 * t
     s = 0.0
     for n in range(1, k + 1):
-        term = n * math.sin(n * math.pi * z) * math.exp(-n * n * a)
-        s += term if n % 2 == 1 else -term
-    s *= math.pi
+        s += n * math.sin(n * math.pi * d) * math.exp(-n * n * a)
     r = math.exp(-2.0 * (k + 1) * a)
-    tail = math.pi * (k + 1) * math.exp(-(k + 1) * (k + 1) * a) / (1.0 - r) ** 2
-    return max(s - tail, 0.0), s + tail
+    tail = (k + 1) * math.exp(-(k + 1) * (k + 1) * a) / (1.0 - r) ** 2
+    scale = _PI_SQRT_2PI * t * math.sqrt(t)
+    return max((s - tail) * scale, 0.0), (s + tail) * scale
 
 
 def _kernel_bounds(z: float, y: float, t: float, k: int) -> tuple[float, float]:
@@ -140,32 +148,27 @@ def _survival_bounds(z: float, t: float, k: int) -> tuple[float, float]:
     return max(s - tail, 0.0), min(s + tail, 1.0)
 
 
-def _hit_cdf_bounds(z: float, t: float, k: int) -> tuple[float, float]:
-    """Bounds on the sub-CDF P(tau <= t, exit at the upper endpoint)."""
+def _hit_cdf_bounds(d: float, t: float, k: int) -> tuple[float, float]:
+    """Bounds on the sub-CDF P(tau <= t, exit at the endpoint at distance d)."""
     if t <= _T_CROSS:
         rt2 = math.sqrt(2.0 * t)
         s = 0.0
         for j in range(k + 1):
-            half = j >> 1
-            d = (2 * half + 1) - z if j % 2 == 0 else (2 * half + 1) + z
-            c = math.erfc(d / rt2)
+            c = math.erfc(_image_distance(j, d) / rt2)
             s += -c if j & 1 else c
-        jn = k + 1
-        half = jn >> 1
-        dn = (2 * half + 1) - z if jn % 2 == 0 else (2 * half + 1) + z
-        cn = math.erfc(dn / rt2)
+        cn = math.erfc(_image_distance(k + 1, d) / rt2)
         if k & 1:
             return max(s, 0.0), min(s + cn, 1.0)
         return max(s - cn, 0.0), min(s, 1.0)
     a = _HALF_PI2 * t
     s = 0.0
     for n in range(1, k + 1):
-        term = (2.0 / (n * math.pi)) * math.sin(n * math.pi * z) * math.exp(-n * n * a)
-        s += term if n % 2 == 1 else -term
+        s += (2.0 / (n * math.pi)) * math.sin(n * math.pi * d) * math.exp(-n * n * a)
     tail = (2.0 / ((k + 1) * math.pi)) * math.exp(-(k + 1) * (k + 1) * a) / (
         1.0 - math.exp(-2.0 * (k + 1) * a)
     )
-    return max(z - s - tail, 0.0), min(z - s + tail, 1.0)
+    p = 1.0 - d  # the chance of exiting at this endpoint at all
+    return max(p - s - tail, 0.0), min(p - s + tail, 1.0)
 
 
 def _resolve(bound_fn, tol: float, k_start: int = 1) -> tuple[float, float, int]:
@@ -218,48 +221,50 @@ def _sandwich_accept(threshold: float, bound_fn, k_start: int = 1) -> bool:
     raise ConvergenceError("acceptance sandwich did not separate")
 
 
-def _accept_hit_density(threshold: float, z: float, t: float) -> bool:
-    """threshold <= f(t | z), with the k=1 bounds inlined (decides almost always)."""
+def _accept_hit_density(threshold: float, d: float, t: float) -> bool:
+    """threshold <= f(t | d) sqrt(2 pi t^3), with the k=1 bounds inlined (decides almost always).
+
+    The image terms divide by 2t rather than multiply by 1/(2t), which
+    overflows for a t that a tiny d can make subnormal.
+    """
     if t <= _T_CROSS:
-        inv2t = 0.5 / t
-        pref = 1.0 / math.sqrt(6.283185307179586 * t * t * t)
-        d0 = 1.0 - z
-        d1 = 1.0 + z
-        d2 = 3.0 - z
-        s1 = (d0 * math.exp(-d0 * d0 * inv2t) - d1 * math.exp(-d1 * d1 * inv2t)) * pref
+        t2 = t + t
+        d1 = 2.0 - d
+        d2 = 2.0 + d
+        s1 = d * math.exp(-d * d / t2) - d1 * math.exp(-d1 * d1 / t2)
         if threshold <= s1:
             return True
-        hi = s1 + d2 * math.exp(-d2 * d2 * inv2t) * pref
-        if threshold > hi:
+        if threshold > s1 + d2 * math.exp(-d2 * d2 / t2):
             return False
     else:
         a = _HALF_PI2 * t
-        s1 = math.pi * math.sin(math.pi * z) * math.exp(-a)
+        scale = _PI_SQRT_2PI * t * math.sqrt(t)
+        s1 = scale * math.sin(math.pi * d) * math.exp(-a)
         r = math.exp(-4.0 * a)
-        tail = 6.283185307179586 * r / ((1.0 - r) * (1.0 - r))
+        tail = 2.0 * scale * r / ((1.0 - r) * (1.0 - r))
         if threshold <= s1 - tail:
             return True
         if threshold > s1 + tail:
             return False
-    return _sandwich_accept(threshold, lambda k: _hit_density_bounds(z, t, k), 2)
+    return _sandwich_accept(threshold, lambda k: _hit_density_bounds(d, t, k), 2)
 
 
-def _accept_hit_cdf(threshold: float, z: float, t: float, rt2: float, s: float) -> bool:
-    """threshold <= P(tau <= t, exit at the upper endpoint) for t <= _T_CROSS.
+def _accept_hit_cdf(threshold: float, d: float, t: float, rt2: float, s: float) -> bool:
+    """threshold <= P(tau <= t, exit at the endpoint at distance d) for t <= _T_CROSS.
 
     The image series alternates with decreasing terms, so its partial sums
     bracket the value: the first term bounds it from above, the first two from
     below, the first three from above again.  The caller passes rt2 =
-    sqrt(2 t) and the first term s = erfc((1 - z) / rt2), having checked
+    sqrt(2 t) and the first term s = erfc(d / rt2), having checked
     threshold <= s.  One or two more erfc calls decide almost every threshold;
     the sandwich settles the rest.
     """
-    s -= math.erfc((1.0 + z) / rt2)
+    s -= math.erfc((2.0 - d) / rt2)
     if threshold <= s:
         return True
-    if threshold > s + math.erfc((3.0 - z) / rt2):
+    if threshold > s + math.erfc((2.0 + d) / rt2):
         return False
-    return _sandwich_accept(threshold, lambda k: _hit_cdf_bounds(z, t, k), 2)
+    return _sandwich_accept(threshold, lambda k: _hit_cdf_bounds(d, t, k), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -289,35 +294,36 @@ def _sample_normal_tail(rng: RandomStream, c: float) -> float:
     raise ConvergenceError(f"normal-tail sampler stalled at c={c!r}")
 
 
-# _exit_bm_norm alternates between z and 1 - z, and a rectangle restarts from
-# the same z, so a few entries catch most repeats
+# a rectangle alternates between its two distances and restarts from the same
+# pair, so a few entries catch most repeats
 @lru_cache(maxsize=8)
-def _hit_envelope(z: float) -> tuple[float, float, float, float]:
-    """(c_env, mass_head, total mass, normal truncation point) of the envelope at z."""
-    d0 = 1.0 - z
-    c_env = math.sin(math.pi * z) + _TAIL_ENV_SLACK
-    mass_head = math.erfc(d0 / math.sqrt(2.0 * _T_HEAD))
+def _hit_envelope(d: float) -> tuple[float, float, float, float]:
+    """(c_env, mass_head, total mass, normal truncation point) of the envelope at distance d."""
+    c_env = math.sin(math.pi * d) + _TAIL_ENV_SLACK
+    mass_head = math.erfc(d / math.sqrt(2.0 * _T_HEAD))
     total = mass_head + (2.0 * c_env / math.pi) * math.exp(-_HALF_PI2 * _T_HEAD)
-    return c_env, mass_head, total, d0 / math.sqrt(_T_HEAD)
+    return c_env, mass_head, total, d / math.sqrt(_T_HEAD)
 
 
-def _sample_hit_time(rng: RandomStream, z: float, cap: float = math.inf) -> float:
-    """Time to hit the upper endpoint, given the walk exits there, from z.
+def _sample_hit_time(rng: RandomStream, d: float, cap: float = math.inf) -> float:
+    """Time to hit the endpoint at normalised distance d, given the walk exits there.
 
     Proposal envelope: the leading image term (the one-barrier hitting-time
-    density of the distance d0 = 1 - z) restricted to t <= _T_HEAD, plus an
-    exponential tail of rate pi^2/2 scaled by sin(pi z) + slack, which
+    density of the distance d) restricted to t <= _T_HEAD, plus an
+    exponential tail of rate pi^2/2 scaled by sin(pi d) + slack, which
     dominates the spectral series for t >= _T_HEAD.  With cap < _T_HEAD the
     time is conditioned on t <= cap: the head piece alone, its normal tail
-    cut at d0 / sqrt(cap).
+    cut at d / sqrt(cap).  A d whose square underflows to 0 has no
+    representable head proposal and raises DegenerateInputError.
     """
-    d0 = 1.0 - z
+    dd = d * d
+    if dd == 0.0:
+        raise DegenerateInputError(f"hitting distance {d!r} squares to 0")
     head_only = cap < _T_HEAD
     if head_only:
-        trunc = d0 / math.sqrt(cap)
+        trunc = d / math.sqrt(cap)
     else:
-        c_env, mass_head, total, trunc = _hit_envelope(z)
-    pref = 0.3989422804014327  # 1/sqrt(2 pi)
+        c_env, mass_head, total, trunc = _hit_envelope(d)
     uniform = rng.uniform
     exp = math.exp
     tries = _MAX_PROPOSALS
@@ -325,22 +331,23 @@ def _sample_hit_time(rng: RandomStream, z: float, cap: float = math.inf) -> floa
         tries -= 1
         if head_only or uniform() * total < mass_head:
             v = _sample_normal_tail(rng, trunc)
-            t = d0 * d0 / (v * v)
+            t = dd / (v * v)
             if t <= 0.0:
                 continue
-            env = d0 * exp(-d0 * d0 / (2.0 * t)) * pref / math.sqrt(t * t * t)
+            env = d * exp(-dd / (t + t))
         else:
             t = _T_HEAD + -math.log1p(-uniform()) / _HALF_PI2
-            env = math.pi * c_env * exp(-_HALF_PI2 * t)
+            env = _PI_SQRT_2PI * t * math.sqrt(t) * c_env * exp(-_HALF_PI2 * t)
         threshold = uniform() * env
-        if _accept_hit_density(threshold, z, t):
+        if _accept_hit_density(threshold, d, t):
             return t
-    raise ConvergenceError(f"hitting-time sampler stalled at z={z!r}")
+    raise ConvergenceError(f"hitting-time sampler stalled at d={d!r}")
 
 
-def _exit_bm_norm(rng: RandomStream, z: float, cap: float = math.inf) -> tuple[float, bool]:
-    """(normalised exit time, exited at the upper endpoint) from z in (0, 1),
-    or (inf, False) when the exit comes after the normalised time ``cap``.
+def _exit_bm_norm(rng: RandomStream, zl: float, zu: float, cap: float = math.inf) -> tuple[float, bool]:
+    """(normalised exit time, exited at the upper endpoint) from normalised
+    distances zl to the lower and zu to the upper endpoint, or (inf, False)
+    when the exit comes after the normalised time ``cap``.
 
     Below the series crossover one uniform U decides the event and the side
     before any exit time is drawn: U <= P(tau <= cap, upper) is an upper exit,
@@ -354,18 +361,17 @@ def _exit_bm_norm(rng: RandomStream, z: float, cap: float = math.inf) -> tuple[f
         # the first image term bounds each sub-CDF from above and turns most
         # thresholds away before _accept_hit_cdf is called
         rt2 = math.sqrt(2.0 * cap)
-        head = math.erfc((1.0 - z) / rt2)
-        if u <= head and _accept_hit_cdf(u, z, cap, rt2, head):
-            return _sample_hit_time(rng, z, cap), True
-        zl = 1.0 - z
-        head = math.erfc((1.0 - zl) / rt2)
+        head = math.erfc(zu / rt2)
+        if u <= head and _accept_hit_cdf(u, zu, cap, rt2, head):
+            return _sample_hit_time(rng, zu, cap), True
+        head = math.erfc(zl / rt2)
         if 1.0 - u <= head and _accept_hit_cdf(1.0 - u, zl, cap, rt2, head):
             return _sample_hit_time(rng, zl, cap), False
         return math.inf, False
-    if rng.uniform() < z:
-        t, upper = _sample_hit_time(rng, z), True
+    if rng.uniform() < zl:
+        t, upper = _sample_hit_time(rng, zu), True
     else:
-        t, upper = _sample_hit_time(rng, 1.0 - z), False
+        t, upper = _sample_hit_time(rng, zl), False
     if t > cap:
         return math.inf, False
     return t, upper
@@ -381,7 +387,7 @@ def exit_bm(rng: RandomStream, x: float, l: float, u: float) -> BmExitSample:
     if not (l < x < u):
         raise ValueError(f"need l < x < u, got l={l!r}, x={x!r}, u={u!r}")
     w = u - l
-    t, upper = _exit_bm_norm(rng, (x - l) / w)
+    t, upper = _exit_bm_norm(rng, (x - l) / w, (u - x) / w)
     if upper:
         return BmExitSample(time=t * w * w, side="upper", location=u)
     return BmExitSample(time=t * w * w, side="lower", location=l)
@@ -506,27 +512,26 @@ def _by_regime(image, image_fn, spectral_fn, *arrays):
     return np.where(image, ilo, slo), np.where(image, ihi, shi)
 
 
-def _hit_density_k1_image(z, t):
-    inv2t = 0.5 / t
-    pref = 1.0 / np.sqrt(6.283185307179586 * t * t * t)
-    d0 = 1.0 - z
-    d1 = 1.0 + z
-    d2 = 3.0 - z
-    s1 = (d0 * np.exp(-d0 * d0 * inv2t) - d1 * np.exp(-d1 * d1 * inv2t)) * pref
-    return s1, s1 + d2 * np.exp(-d2 * d2 * inv2t) * pref
+def _hit_density_k1_image(d, t):
+    t2 = t + t
+    d1 = 2.0 - d
+    d2 = 2.0 + d
+    s1 = d * np.exp(-d * d / t2) - d1 * np.exp(-d1 * d1 / t2)
+    return s1, s1 + d2 * np.exp(-d2 * d2 / t2)
 
 
-def _hit_density_k1_spectral(z, t):
+def _hit_density_k1_spectral(d, t):
     a = _HALF_PI2 * t
-    s1 = math.pi * np.sin(math.pi * z) * np.exp(-a)
+    scale = _PI_SQRT_2PI * t * np.sqrt(t)
+    s1 = scale * np.sin(math.pi * d) * np.exp(-a)
     r = np.exp(-4.0 * a)
-    tail = 6.283185307179586 * r / ((1.0 - r) * (1.0 - r))
+    tail = 2.0 * scale * r / ((1.0 - r) * (1.0 - r))
     return s1 - tail, s1 + tail
 
 
-def _hit_density_k1(z, t):
+def _hit_density_k1(d, t):
     """The k=1 bounds of _accept_hit_density, lane by lane."""
-    return _by_regime(t <= _T_CROSS, _hit_density_k1_image, _hit_density_k1_spectral, z, t)
+    return _by_regime(t <= _T_CROSS, _hit_density_k1_image, _hit_density_k1_spectral, d, t)
 
 
 def _kernel_k1_image(z, y, t):
@@ -628,14 +633,15 @@ def _normal_tail_lanes(rng: RandomStream, c):
     return out
 
 
-def _sample_hit_time_lanes(rng: RandomStream, z):
+def _sample_hit_time_lanes(rng: RandomStream, d):
     """Lane twin of _sample_hit_time, with the same two-piece envelope."""
-    d0 = 1.0 - z
-    c_env = np.sin(math.pi * z) + _TAIL_ENV_SLACK
-    mass_head = _erfc(d0 / math.sqrt(2.0 * _T_HEAD)).astype(float)
+    dd = d * d
+    if not dd.all():
+        raise DegenerateInputError(f"hitting distance {float(d[dd == 0.0][0])!r} squares to 0")
+    c_env = np.sin(math.pi * d) + _TAIL_ENV_SLACK
+    mass_head = _erfc(d / math.sqrt(2.0 * _T_HEAD)).astype(float)
     total = mass_head + (2.0 * c_env / math.pi) * math.exp(-_HALF_PI2 * _T_HEAD)
-    trunc = d0 / math.sqrt(_T_HEAD)
-    pref = 0.3989422804014327  # 1/sqrt(2 pi)
+    trunc = d / math.sqrt(_T_HEAD)
 
     def propose(idx):
         m = len(idx)
@@ -643,28 +649,31 @@ def _sample_hit_time_lanes(rng: RandomStream, z):
         env = np.empty(m)
         head = rng.uniforms(m) * total[idx] < mass_head[idx]
         h = head.nonzero()[0]
-        dh = d0[idx[h]]
+        dh = d[idx[h]]
+        ddh = dd[idx[h]]
         v = _normal_tail_lanes(rng, trunc[idx[h]])
-        th = dh * dh / (v * v)
+        th = ddh / (v * v)
         t[h] = th
-        env[h] = dh * np.exp(-dh * dh / (2.0 * th)) * pref / np.sqrt(th * th * th)
+        # a head proposal that underflows to t = 0 gets a nan envelope, and a
+        # nan threshold fails every comparison, so the lane just proposes again
+        env[h] = np.where(th > 0.0, dh * np.exp(-ddh / (th + th)), np.nan)
         g = (~head).nonzero()[0]
         tg = _T_HEAD + -np.log1p(-rng.uniforms(len(g))) / _HALF_PI2
         t[g] = tg
-        env[g] = math.pi * c_env[idx[g]] * np.exp(-_HALF_PI2 * tg)
-        # a head proposal that underflows to t = 0 gets a nan envelope, and a
-        # nan threshold fails every comparison, so the lane just proposes again
+        env[g] = _PI_SQRT_2PI * tg * np.sqrt(tg) * c_env[idx[g]] * np.exp(-_HALF_PI2 * tg)
         threshold = rng.uniforms(m) * env
-        zi = z[idx]
-        return _decide(threshold, _hit_density_k1(zi, t), _hit_density_bounds, zi, t), t
+        di = d[idx]
+        return _decide(threshold, _hit_density_k1(di, t), _hit_density_bounds, di, t), t
 
-    return _rejection_lanes(len(z), propose, lambda k: _sample_hit_time(rng, float(z[k])))
+    return _rejection_lanes(
+        len(d), propose, lambda k: _sample_hit_time(rng, float(d[k])), _MAX_PROPOSALS, "hitting-time"
+    )
 
 
-def _exit_bm_norm_lanes(rng: RandomStream, z):
+def _exit_bm_norm_lanes(rng: RandomStream, zl, zu):
     """Lane twin of _exit_bm_norm: (normalised exit times, exited at the upper endpoint)."""
-    upper = rng.uniforms(len(z)) < z
-    return _sample_hit_time_lanes(rng, np.where(upper, z, 1.0 - z)), upper
+    upper = rng.uniforms(len(zl)) < zl
+    return _sample_hit_time_lanes(rng, np.where(upper, zu, zl)), upper
 
 
 def _cond_bm_norm_lanes(rng: RandomStream, z, tn):
@@ -745,9 +754,7 @@ def hit_cdf(x: float, l: float, u: float, t: float, side: str) -> float:
         raise ValueError(f"need t >= 0, got {t!r}")
     if t == 0.0:
         return 0.0
-    z = (x - l) / (u - l)
-    if side == "lower":
-        z = 1.0 - z
+    d = ((u - x) if side == "upper" else (x - l)) / (u - l)
     tn = t / ((u - l) * (u - l))
-    lo, hi, _ = _resolve(lambda k: _hit_cdf_bounds(z, tn, k), 1e-12)
+    lo, hi, _ = _resolve(lambda k: _hit_cdf_bounds(d, tn, k), 1e-12)
     return 0.5 * (lo + hi)

@@ -90,10 +90,12 @@ def box_exit(
     gamma = model.gamma_fn
     anti = model.mu0_antiderivative
     w = work if work is not None else WorkCounter()
-    # per-rectangle constants: normalised coordinates and endpoint log margins
+    # per-rectangle constants: normalised distances to each end, taken from the
+    # raw position, and endpoint log margins
     width = u - l
     wsq = width * width
-    z0 = (x - l) / width
+    zl0 = (x - l) / width
+    zu0 = (u - x) / width
     accept_lo = anti(l) - log_bsup
     accept_hi = anti(u) - log_bsup
     uniform = rng.uniform
@@ -101,7 +103,8 @@ def box_exit(
     log1p = math.log1p
     inf = math.inf
 
-    z = z0
+    zl = zl0
+    zu = zu0
     elapsed = 0.0
     left = T  # T - elapsed
     n_restart = n_exit = n_cond = n_exp = n_uni = 0
@@ -113,7 +116,7 @@ def box_exit(
             else:
                 e = inf
             # an exit after the clock or the horizon is reported as s_norm = inf
-            s_norm, upper = _exit_bm_norm(rng, z, (e if e < left else left) / wsq)
+            s_norm, upper = _exit_bm_norm(rng, zl, zu, (e if e < left else left) / wsq)
             n_exit += 1
             t_hit = elapsed + s_norm * wsq
             t_thin = elapsed + e
@@ -127,19 +130,20 @@ def box_exit(
                 if ok:
                     return _tuple_new(BoxOutcome, (t_hit, u if upper else l, True, w))
             elif T <= t_thin:
-                yn = _cond_bm_norm(rng, z, left / wsq)
+                yn = _cond_bm_norm(rng, zl, left / wsq)
                 n_cond += 1
                 n_uni += 1
                 y = l + yn * width
                 if l < y < u and log(uniform()) <= anti(y) - log_bsup:
                     return _tuple_new(BoxOutcome, (T, y, False, w))
             else:
-                yn = _cond_bm_norm(rng, z, e / wsq)
+                yn = _cond_bm_norm(rng, zl, e / wsq)
                 n_cond += 1
                 n_uni += 1
                 y = l + yn * width
                 if l < y < u and g_range * uniform() > gamma(y) - g_inf:
-                    z = yn
+                    zl = yn
+                    zu = (u - y) / width
                     elapsed = t_thin
                     left = T - elapsed
                     continue
@@ -147,7 +151,8 @@ def box_exit(
             n_restart += 1
             if n_restart > max_restarts:
                 raise RunawayError(f"box_exit exceeded {max_restarts} restarts on ({l!r}, {u!r})")
-            z = z0
+            zl = zl0
+            zu = zu0
             elapsed = 0.0
             left = T
     finally:
@@ -199,23 +204,26 @@ def _each(fn, x):
     return np.frompyfunc(fn, 1, 1)(x).astype(float)
 
 
-def box_round(rng: RandomStream, model: DiffusionModel, sc: SliceConstants, s, z0, z, elapsed, T: float, work):
+def box_round(rng: RandomStream, model: DiffusionModel, sc: SliceConstants, s, x0, x, elapsed, T: float, work):
     """One pass of box_exit's loop body for every lane.
 
-    Lane k runs rectangle s[k] of ``sc``, started at normalised position
-    z0[k], and stands at z[k] after elapsed[k] of its time.  A thinning
-    survivor moves z and elapsed in place and a rejection resets them to
-    (z0, 0), as box_exit does.  ``work`` is the (5, lanes) array of the
-    WorkCounter fields in field order, counted as box_exit counts them.
+    Lane k runs rectangle s[k] of ``sc``, started at position x0[k], and
+    stands at x[k] after elapsed[k] of its time; the distances to its ends
+    are taken from x[k], as box_exit takes them.  A thinning survivor moves
+    x and elapsed in place and a rejection resets them to (x0, 0), as
+    box_exit does.  ``work`` is the (5, lanes) array of the WorkCounter
+    fields in field order, counted as box_exit counts them.
     Call it with numpy's divide, overflow and invalid warnings off.
     Returns (outcome, time, position): the time of an exited or truncated
     lane's BoxOutcome, and the position of a truncated lane.
     """
-    n = len(z)
+    n = len(x)
+    l, u, width = sc.l[s], sc.u[s], sc.width[s]
     g_range = sc.g_range[s]
     wsq = sc.wsq[s]
     e = -np.log1p(-rng.uniforms(n)) / g_range  # inf where g_range == 0
-    s_norm, upper = _exit_bm_norm_lanes(rng, z)
+    zl = (x - l) / width
+    s_norm, upper = _exit_bm_norm_lanes(rng, zl, (u - x) / width)
     t_hit = elapsed + s_norm * wsq
     t_thin = elapsed + e
     hit = (t_hit <= t_thin) & (t_hit <= T)
@@ -237,27 +245,27 @@ def box_round(rng: RandomStream, model: DiffusionModel, sc: SliceConstants, s, z
     c = (~hit).nonzero()[0]
     sc_c = s[c]
     trunc = T <= t_thin[c]
-    yn = _cond_bm_norm_lanes(rng, z[c], np.where(trunc, T - elapsed[c], e[c]) / wsq[c])
-    l = sc.l[sc_c]
-    y = l + yn * sc.width[sc_c]
-    inside = (l < y) & (y < sc.u[sc_c])
-    u = rng.uniforms(len(c))
+    yn = _cond_bm_norm_lanes(rng, zl[c], np.where(trunc, T - elapsed[c], e[c]) / wsq[c])
+    lc = l[c]
+    y = lc + yn * width[c]
+    inside = (lc < y) & (y < u[c])
+    v = rng.uniforms(len(c))
     ok = np.zeros(len(c), dtype=bool)
     j = (inside & trunc).nonzero()[0]
-    ok[j] = np.log(u[j]) <= _each(model.mu0_antiderivative, y[j]) - sc.log_bsup[sc_c[j]]
+    ok[j] = np.log(v[j]) <= _each(model.mu0_antiderivative, y[j]) - sc.log_bsup[sc_c[j]]
     j = (inside & ~trunc).nonzero()[0]
-    ok[j] = sc.g_range[sc_c[j]] * u[j] > _each(model.gamma_fn, y[j]) - sc.g_inf[sc_c[j]]
+    ok[j] = sc.g_range[sc_c[j]] * v[j] > _each(model.gamma_fn, y[j]) - sc.g_inf[sc_c[j]]
     accepted = ok & trunc
     outcome[c[accepted]] = TRUNCATED
     position[c[accepted]] = y[accepted]
     accepted = ok & ~trunc
     th = c[accepted]
     outcome[th] = THINNED
-    z[th] = yn[accepted]
+    x[th] = y[accepted]
     elapsed[th] = t_thin[th]
 
     restarted = outcome == RESTARTED
-    z[restarted] = z0[restarted]
+    x[restarted] = x0[restarted]
     elapsed[restarted] = 0.0
     work[0] += restarted
     work[1] += 1

@@ -18,7 +18,8 @@ class ConvergenceError(ExitwalkError, RuntimeError):
 
 
 class DegenerateInputError(ExitwalkError, ValueError):
-    """Survival probability underflowed; the conditional position law is numerically void."""
+    """A quantity the sampler needs is lost at float precision: an underflowed survival
+    probability or squared hitting distance, or grid points too close to tell apart."""
 
 
 class RunawayError(ExitwalkError, RuntimeError):

@@ -9,12 +9,13 @@ for the original a or b, so no position is ever mapped back.
 
 Two scalar functions drive every acceptance test:
 
-    beta(x)  = exp(integral of mu0 up to x)
-    gamma(x) = (mu0(x)^2 + mu0'(x)) / 2
+    log beta(x) = integral of mu0 up to x   (``mu0_antiderivative``)
+    gamma(x)    = (mu0(x)^2 + mu0'(x)) / 2
 
-plus their sup/inf over the current interval.  The samplers are exact only if
-those constants really bound the functions they evaluate; a conservative
-bound only costs acceptance rate.  Every built-in model (``bm``, ``ou``,
+plus their sup/inf over the current interval.  beta itself is never formed:
+it overflows long before the acceptance tests, which work in log space,
+would.  The samplers are exact only if those constants really bound the
+functions they evaluate; a conservative bound only costs acceptance rate.  Every built-in model (``bm``, ``ou``,
 ``sin``, ``cir``) supplies closed-form extrema, taken at the endpoints and
 the critical points of gamma and of the antiderivative of mu0.  ``ou``,
 ``sin`` and ``cir`` also pad them by a few ulps, which certifies them against
@@ -94,17 +95,15 @@ def _gamma_evaluator(mu0: Callable[[float], float], mu0p: Callable[[float], floa
 
 @dataclass(frozen=True)
 class IntervalBounds:
-    """Sup/inf constants of beta and gamma over one interval.
+    """Sup/inf constants of log beta and gamma over one interval.
 
-    ``gamma_inf`` is clamped at zero (it enters the algorithm only through
-    nonpositive exponents), ``gamma_range = gamma_sup - gamma_inf`` is the
-    thinning rate, and ``log_beta_sup`` is the log of the sup of beta.  The
-    sup of beta itself is never formed: it overflows long before the
-    acceptance tests, which work in log space, would.
+    ``gamma_inf`` is the inf of gamma clamped at zero (it enters the
+    algorithm only through nonpositive exponents), ``gamma_range`` the sup of
+    gamma less ``gamma_inf``, which is the thinning rate, and
+    ``log_beta_sup`` the sup of the antiderivative of mu0.
     """
 
     gamma_inf: float
-    gamma_sup: float
     gamma_range: float
     log_beta_sup: float
 
@@ -113,15 +112,6 @@ def _check_in_domain(model: DiffusionModel, x: float) -> None:
     lo, hi = model.domain
     if not (lo < x < hi):
         raise DomainError(f"x={x!r} outside open domain ({lo!r}, {hi!r}) of model {model.name!r}")
-
-
-def beta(model: DiffusionModel, x: float) -> float:
-    """exp of the antiderivative of mu0 at x; strictly positive."""
-    _check_in_domain(model, x)
-    v = math.exp(model.mu0_antiderivative(x))
-    if not math.isfinite(v) or v <= 0.0:
-        raise DomainError(f"beta not finite/positive at x={x!r} for model {model.name!r}")
-    return v
 
 
 def gamma(model: DiffusionModel, x: float) -> float:
@@ -150,7 +140,7 @@ def _pad_down(v: float) -> float:
 
 
 def compute_bounds(model: DiffusionModel, l: float, u: float) -> IntervalBounds:
-    """Valid (possibly conservative) beta/gamma constants for [l, u].
+    """Valid (possibly conservative) log beta/gamma constants for [l, u].
 
     Uses the model's closed-form extrema when present: ``bm``, ``ou``,
     ``sin`` and ``cir`` all have them, certified against rounding.  Only
@@ -182,24 +172,16 @@ def compute_bounds(model: DiffusionModel, l: float, u: float) -> IntervalBounds:
         anti = model.mu0_antiderivative
         a_hi = max(anti(x) for x in xs)
         if not (math.isfinite(g_lo) and math.isfinite(g_hi) and math.isfinite(a_hi)):
-            raise DomainError(f"non-finite beta/gamma on [{l!r}, {u!r}]")
+            raise DomainError(f"non-finite gamma or antiderivative on [{l!r}, {u!r}]")
         g_lo = _pad_down(g_lo)
         g_hi = _pad_up(g_hi)
-        bmax = math.exp(a_hi)
-        if not math.isfinite(bmax):
-            raise DomainError(f"beta overflows on [{l!r}, {u!r}]")
-        bsup = _pad_up(bmax)
-        log_bsup = math.log(bsup)
-        gamma_inf = min(g_lo, 0.0)
-        return IntervalBounds(gamma_inf, g_hi, g_hi - gamma_inf, log_bsup)
+        # log of _pad_up(e^a_hi) = (1 + _PAD) e^a_hi + _PAD, as a log-sum-exp
+        # that never forms e^a_hi
+        p, q = a_hi + math.log1p(_PAD), math.log(_PAD)
+        log_bsup = max(p, q) + math.log1p(math.exp(-abs(p - q)))
 
     gamma_inf = min(g_lo, 0.0)
-    return IntervalBounds(
-        gamma_inf=gamma_inf,
-        gamma_sup=g_hi,
-        gamma_range=g_hi - gamma_inf,
-        log_beta_sup=log_bsup,
-    )
+    return IntervalBounds(gamma_inf=gamma_inf, gamma_range=g_hi - gamma_inf, log_beta_sup=log_bsup)
 
 
 def check_horizon(T: float, table: Sequence[IntervalBounds]) -> None:

@@ -34,7 +34,7 @@ from .box_exit import (
     box_round,
     slice_constants,
 )
-from .errors import DomainError, RunawayError
+from .errors import DegenerateInputError, DomainError, RunawayError
 from .model import DiffusionModel, IntervalBounds, check_horizon, compute_bounds, lamperti_forward
 from .rng import RandomStream
 
@@ -57,6 +57,13 @@ class SliceGrid:
             raise ValueError(f"need n >= 2, got {self.n!r}")
         if not self.a_hat < self.b_hat:
             raise ValueError(f"need a_hat < b_hat, got {self.a_hat!r}, {self.b_hat!r}")
+        # from n = 3 on, a walk moves between slices, and each grid point and
+        # slice index must keep a position strictly inside its slice; one
+        # slice covers the whole interval whatever its width
+        if self.n > 2 and not self.delta > 8.0 * math.ulp(max(abs(self.a_hat), abs(self.b_hat))):
+            raise DegenerateInputError(
+                f"{self.n} slices of ({self.a_hat!r}, {self.b_hat!r}) are too narrow to tell their points apart"
+            )
 
     @property
     def delta(self) -> float:
@@ -147,9 +154,9 @@ def _walk_lanes(rng, model, grid, x_hat, T, table, lanes):
     loop runs one pass of box_exit's loop body on each active lane
     (box_round), then the walk step on the lanes whose rectangle ended;
     absorbed lanes leave the arrays.  Once fewer than _TAIL_LANES are
-    active, each lane that stands where box_exit starts (at z0 with no time
-    elapsed: a new rectangle, or one just rejected) goes on with the scalar
-    walk, so the stragglers cost no numpy passes.
+    active, each lane that stands where box_exit starts (at its start with
+    no time elapsed: a new rectangle, or one just rejected) goes on with the
+    scalar walk, so the stragglers cost no numpy passes.
     """
     n = grid.n
     points = np.array([grid.grid_point(j) for j in range(n + 1)])
@@ -161,9 +168,8 @@ def _walk_lanes(rng, model, grid, x_hat, T, table, lanes):
 
     ids = np.arange(lanes)
     s = np.full(lanes, _index(grid, x_hat) - 1)
-    pos = np.full(lanes, x_hat)
-    z0 = (pos - sc.l[s]) / sc.width[s]
-    z = z0.copy()
+    pos = np.full(lanes, x_hat)  # where each lane's rectangle started
+    x = pos.copy()  # where it stands
     el = np.zeros(lanes)
     restarts = np.zeros(lanes, dtype=np.int64)
     elapsed = np.zeros(lanes)
@@ -180,14 +186,14 @@ def _walk_lanes(rng, model, grid, x_hat, T, table, lanes):
                 )
                 out_work[:, lane] = astuple(w)
             keep = el != 0.0
-            ids, s, pos, z0, z, el, restarts, elapsed, steps, work = (
-                v[..., keep] for v in (ids, s, pos, z0, z, el, restarts, elapsed, steps, work)
+            ids, s, pos, x, el, restarts, elapsed, steps, work = (
+                v[..., keep] for v in (ids, s, pos, x, el, restarts, elapsed, steps, work)
             )
             if not len(ids):
                 break
 
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            outcome, t, y = box_round(rng, model, sc, s, z0, z, el, T, work)
+            outcome, t, y = box_round(rng, model, sc, s, pos, x, el, T, work)
         restarts += outcome == RESTARTED
         if restarts.max() > _MAX_RESTARTS:
             raise RunawayError(f"box_exit exceeded {_MAX_RESTARTS} restarts")
@@ -204,10 +210,9 @@ def _walk_lanes(rng, model, grid, x_hat, T, table, lanes):
             raise RunawayError(f"diff_exit exceeded {_MAX_STEPS} rectangle steps")
         p = np.where(oc == TRUNCATED, y[c], points[np.clip(j, 0, n)])[~absorbed]
         pos[going] = p
+        x[going] = p
         d = grid.delta
         s[going] = np.clip(np.floor((p - grid.a_hat - 0.5 * d) / d), 0, n - 2).astype(np.int64)
-        z0[going] = (p - sc.l[s[going]]) / sc.width[s[going]]
-        z[going] = z0[going]
         el[going] = 0.0
         restarts[going] = 0
         if absorbed.any():
@@ -219,8 +224,8 @@ def _walk_lanes(rng, model, grid, x_hat, T, table, lanes):
             out_work[:, lane] = work[:, a]
             keep = np.ones(len(ids), dtype=bool)
             keep[a] = False
-            ids, s, pos, z0, z, el, restarts, elapsed, steps, work = (
-                v[..., keep] for v in (ids, s, pos, z0, z, el, restarts, elapsed, steps, work)
+            ids, s, pos, x, el, restarts, elapsed, steps, work = (
+                v[..., keep] for v in (ids, s, pos, x, el, restarts, elapsed, steps, work)
             )
     return out_elapsed, out_index, out_steps, out_work
 

@@ -21,7 +21,6 @@ per-draw buffers.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import zlib
 
@@ -87,7 +86,7 @@ class _Blocks:
 
 
 class RandomStream:
-    """Buffered scalar uniform/normal/exponential source over PCG64, plus array draws.
+    """Buffered scalar uniform/normal source over PCG64, plus array draws.
 
     ``uniform()`` and ``uniforms(n)`` return values in the open interval
     (0, 1) so callers can take logarithms without guards; ``normal()``
@@ -143,15 +142,6 @@ class RandomStream:
         self._na_at = at + n
         self._array_draws += n
         return self._na[at : at + n]
-
-    def exponential(self, rate: float) -> float:
-        """Exp(rate) variate; returns inf when rate == 0 without consuming randomness."""
-        if rate < 0.0:
-            raise ValueError(f"exponential rate must be nonnegative, got {rate}")
-        if rate == 0.0:
-            return math.inf
-        # uniform() is in (0, 1), so log1p(-u) < 0 strictly and the result is positive
-        return -math.log1p(-self.uniform()) / rate
 
 
 def substream(seed: int, *path) -> RandomStream:

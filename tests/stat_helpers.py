@@ -26,11 +26,9 @@ def inflate(bounds: IntervalBounds, factor: float = 2.0) -> IntervalBounds:
     """Conservative variant: the sup of beta and gamma_range scaled, gamma_inf kept."""
     if factor < 1.0:
         raise ValueError("inflation factor must be >= 1")
-    gamma_sup = bounds.gamma_inf + factor * bounds.gamma_range
     return IntervalBounds(
         gamma_inf=bounds.gamma_inf,
-        gamma_sup=gamma_sup,
-        gamma_range=gamma_sup - bounds.gamma_inf,
+        gamma_range=factor * bounds.gamma_range,
         log_beta_sup=bounds.log_beta_sup + math.log(factor),
     )
 
@@ -62,13 +60,19 @@ def corrupt_gamma(model: DiffusionModel, shift: float) -> DiffusionModel:
     """``model`` with gamma raised by ``shift`` everywhere, its bounds left those of ``model``.
 
     Only the thinning test sees the corruption: mu0' grows by 2*shift, and
-    both bounds hooks return the true model's ``compute_bounds`` values.
+    both bounds hooks return the true model's ``compute_bounds`` values, the
+    sup of gamma as the sampler reads it, gamma_inf + gamma_range.
     """
     true_bounds = functools.lru_cache(maxsize=None)(lambda l, u: compute_bounds(model, l, u))
+
+    def gamma_extrema(l, u):
+        b = true_bounds(l, u)
+        return b.gamma_inf, b.gamma_inf + b.gamma_range
+
     return dataclasses.replace(
         model,
         mu0_prime=lambda y: model.mu0_prime(y) + 2.0 * shift,
-        gamma_extrema=lambda l, u: (true_bounds(l, u).gamma_inf, true_bounds(l, u).gamma_sup),
+        gamma_extrema=gamma_extrema,
         log_beta_max=lambda l, u: true_bounds(l, u).log_beta_sup,
     )
 

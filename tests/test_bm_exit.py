@@ -21,6 +21,7 @@ from exitwalk.bm_exit import (
     _kernel_bounds,
     _resolve,
     _sample_hit_time,
+    _sample_hit_time_lanes,
     _sample_normal_tail,
     _sandwich_accept,
     _survival_bounds,
@@ -105,7 +106,7 @@ def test_capped_exit_matches_sub_cdf_oracle(z):
     n = 4000
     for cap in (0.01, 0.1, 0.3, 0.4, 1.0):
         rng = substream(19, "capped", repr((z, cap)))
-        draws = [_exit_bm_norm(rng, z, cap) for _ in range(n)]
+        draws = [_exit_bm_norm(rng, z, 1.0 - z, cap) for _ in range(n)]
         for upper, side in ((True, "upper"), (False, "lower")):
             times = np.array([t for t, up in draws if up == upper and t != math.inf])
             p_side = hit_cdf(z, 0.0, 1.0, cap, side)
@@ -118,15 +119,15 @@ def test_capped_exit_matches_sub_cdf_oracle(z):
 
 
 def test_uncapped_exit_draws_as_before():
-    def eager(rng, z):
-        if rng.uniform() < z:
-            return _sample_hit_time(rng, z), True
-        return _sample_hit_time(rng, 1.0 - z), False
+    def eager(rng, zl, zu):
+        if rng.uniform() < zl:
+            return _sample_hit_time(rng, zu), True
+        return _sample_hit_time(rng, zl), False
 
     for z in (0.2, 0.5, 0.9):
         a = substream(20, "eager", repr(z))
         b = substream(20, "eager", repr(z))
-        assert [_exit_bm_norm(a, z) for _ in range(500)] == [eager(b, z) for _ in range(500)]
+        assert [_exit_bm_norm(a, z, 1.0 - z) for _ in range(500)] == [eager(b, z, 1.0 - z) for _ in range(500)]
         assert a.draws == b.draws
 
 
@@ -278,12 +279,14 @@ def test_hit_cdf_limits_and_consistency():
 
 
 def test_hit_density_bounds_bracket_brute_force():
+    # the bounds are on the density times sqrt(2 pi t^3), at the distance 1 - z to the upper end
     for z in (0.2, 0.5, 0.9):
         for t in (0.1, 0.3, 0.5, 1.0):
             brute = _hit_density_brute(z, t)
+            scale = math.sqrt(2.0 * math.pi * t**3)
             for k in (2, 4, 6):
-                lo, hi = _hit_density_bounds(z, t, k)
-                assert lo - 1e-13 <= brute <= hi + 1e-13
+                lo, hi = _hit_density_bounds(1.0 - z, t, k)
+                assert lo / scale - 1e-13 <= brute <= hi / scale + 1e-13
 
 
 def _hit_density_brute(z, t, k=60):
@@ -298,9 +301,9 @@ def _hit_density_brute(z, t, k=60):
 
 
 def test_hit_cdf_bounds_bracket():
-    for z in (0.25, 0.6):
+    for d in (0.25, 0.6):
         for t in (0.1, 0.4):
-            lo, hi, _ = _resolve(lambda k: _hit_cdf_bounds(z, t, k), 1e-13)
+            lo, hi, _ = _resolve(lambda k: _hit_cdf_bounds(d, t, k), 1e-13)
             assert 0.0 <= lo <= hi <= 1.0
 
 
@@ -386,3 +389,58 @@ def test_normal_tail_loops_are_capped(monkeypatch):
     for c in (0.5, 2.0):  # the plain loop, then the Rayleigh loop
         with pytest.raises(ConvergenceError, match="normal-tail"):
             _sample_normal_tail(stuck, c)
+
+
+class _Stuck:
+    """A stream whose every uniform is the largest float below 1 and every
+    normal 1.0: each hit-time proposal at distance 0.5 takes the tail piece and
+    is rejected, in either engine."""
+
+    uniform = staticmethod(lambda: 1.0 - 2.0**-53)
+    normal = staticmethod(lambda: 1.0)
+
+    def uniforms(self, n):
+        return np.full(n, 1.0 - 2.0**-53)
+
+    def normals(self, n):
+        return np.ones(n)
+
+
+def test_hit_time_loops_are_capped(monkeypatch):
+    monkeypatch.setattr(bm_mod, "_MAX_PROPOSALS", 100)
+    with pytest.raises(ConvergenceError, match="hitting-time"):
+        _sample_hit_time(_Stuck(), 0.5)
+    with pytest.raises(ConvergenceError, match="hitting-time"), np.errstate(all="ignore"):
+        _sample_hit_time_lanes(_Stuck(), np.full(2 * bm_mod._FEW_LANES, 0.5))
+
+
+def _levy_cdf(s):
+    """P(tau <= s d^2) for the one-barrier hitting time from distance d."""
+    return math.erfc(1.0 / math.sqrt(2.0 * s))
+
+
+@pytest.mark.parametrize("d", [1e-60, 1e-150])
+def test_tiny_hitting_distances_keep_the_one_barrier_law(d):
+    # far below the other end, t / d^2 follows the one-barrier (Levy) law;
+    # neither engine forms t^3, which underflows once d < 1e-51
+    n = 2000
+    rng = substream(24, "tiny", repr(d))
+    scalar = np.array([_sample_hit_time(rng, d) for _ in range(n)]) / (d * d)
+    with np.errstate(all="ignore"):
+        lanes = _sample_hit_time_lanes(rng, np.full(n, d)) / (d * d)
+    for scaled in (scalar, lanes):
+        assert np.all(scaled > 0.0)
+        stat, _ = ks_1sample(scaled, _levy_cdf)
+        assert stat < ks_critical(n)
+    for cap in (1e-3, 0.1, 1.0):
+        t, upper = _exit_bm_norm(rng, d, 1.0, cap)
+        assert not upper and 0.0 < t < 1e12 * d * d
+
+
+def test_distance_whose_square_underflows_raises():
+    rng = substream(25, "underflow")
+    for cap in (0.1, 1.0, math.inf):
+        with pytest.raises(DegenerateInputError, match="5e-324"):
+            _exit_bm_norm(rng, 5e-324, 1.0, cap)
+    with pytest.raises(DegenerateInputError, match="5e-324"), np.errstate(all="ignore"):
+        _sample_hit_time_lanes(rng, np.full(2 * bm_mod._FEW_LANES, 5e-324))

@@ -163,7 +163,7 @@ def test_gamma_override_hook_biases_the_law():
 def test_box_exit_submodule_is_not_shadowed(monkeypatch):
     # the package must not re-export the function under its module's name
     assert isinstance(box_mod, types.ModuleType)
-    monkeypatch.setattr("exitwalk.box_exit._exit_bm_norm", lambda rng, z, cap: (0.25, True))
+    monkeypatch.setattr("exitwalk.box_exit._exit_bm_norm", lambda rng, zl, zu, cap: (0.25, True))
     out = box_exit(substream(18, "patched"), BM, 0.5, 0.0, 1.0, 1.0)
     assert (out.time, out.position, out.exited) == (0.25, 1.0, True)
 
@@ -191,7 +191,7 @@ def test_capped_exit_keeps_box_law_and_work(monkeypatch, case):
 
     capped = run("capped")
     real_exit = box_mod._exit_bm_norm
-    monkeypatch.setattr(box_mod, "_exit_bm_norm", lambda rng, z, cap: real_exit(rng, z))
+    monkeypatch.setattr(box_mod, "_exit_bm_norm", lambda rng, zl, zu, cap: real_exit(rng, zl, zu))
     eager = run("eager")
     _, p = ks_2sample([o.time for o in capped], [o.time for o in eager])
     assert p > 0.01, p
@@ -211,11 +211,26 @@ def test_capped_exit_keeps_box_law_and_work(monkeypatch, case):
         assert abs(w1.mean() - w2.mean()) <= 4.0 * se, (field.name, w1.mean(), w2.mean())
 
 
+def test_both_distances_come_from_the_raw_position(monkeypatch):
+    # near u, 1 - (x - l)/w misses (u - x)/w by 1.2e-5 relative here
+    seen = []
+    real_exit = box_mod._exit_bm_norm
+
+    def recording(rng, zl, zu, cap):
+        seen.append((zl, zu))
+        return real_exit(rng, zl, zu, cap)
+
+    monkeypatch.setattr(box_mod, "_exit_bm_norm", recording)
+    x, l, u = 1.0 - 2.0**-40, 0.3, 1.0
+    box_exit(substream(20, "distances"), BM, x, l, u, 1.0)
+    assert seen[0] == ((x - l) / (u - l), (u - x) / (u - l))
+    assert seen[0][1] != 1.0 - seen[0][0]
+
+
 def test_work_cap_raises_runaway():
     bounds = compute_bounds(OU1, 0.0, 1.0)
     starved = box_mod.IntervalBounds(
         gamma_inf=bounds.gamma_inf,
-        gamma_sup=bounds.gamma_sup,
         gamma_range=bounds.gamma_range,
         log_beta_sup=bounds.log_beta_sup + 30.0 * math.log(10.0),
     )
@@ -233,9 +248,9 @@ def test_work_accounting_audit(monkeypatch):
     real_exit = box_mod._exit_bm_norm
     real_cond = box_mod._cond_bm_norm
 
-    def wrapped_exit(r, z, *cap):
+    def wrapped_exit(r, zl, zu, *cap):
         before = r.draws
-        out = real_exit(r, z, *cap)
+        out = real_exit(r, zl, zu, *cap)
         inner["exit"] += r.draws - before
         inner["exit_calls"] += 1
         inner["capped" if cap[0] < _T_CROSS else "eager"] += 1

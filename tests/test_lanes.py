@@ -47,9 +47,10 @@ def test_k1_bounds_are_the_scalar_k1_bounds():
     z, y, t = (a.ravel() for a in np.meshgrid(
         np.linspace(0.02, 0.98, 9), np.linspace(0.03, 0.97, 7), np.geomspace(0.01, 3.0, 15)
     ))
-    lo, hi = _hit_density_k1(z, t)
-    for k in range(len(z)):
-        want_lo, want_hi = _hit_density_bounds(z[k], t[k], 1)
+    d = z  # the hitting bounds take the distance to the end being hit, any value in (0, 1)
+    lo, hi = _hit_density_k1(d, t)
+    for k in range(len(d)):
+        want_lo, want_hi = _hit_density_bounds(d[k], t[k], 1)
         assert max(lo[k], 0.0) == pytest.approx(want_lo, rel=1e-12, abs=1e-300)
         assert hi[k] == pytest.approx(want_hi, rel=1e-12, abs=1e-300)
     lo, hi = _kernel_k1(z, y, t)

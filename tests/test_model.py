@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from exitwalk import (
     ConfigurationError,
     DomainError,
-    beta,
     brownian,
     build_model,
     compute_bounds,
@@ -29,19 +29,22 @@ CIR = cox_ingersoll_ross(3.0, 7.0, 1.0)
 BM = brownian()
 
 
+# beta is exp of the antiderivative of mu0; it is checked in log space, where the sampler reads it
+
+
 def test_beta_ou_at_zero():
-    assert beta(OU1, 0.0) == 1.0
+    assert OU1.mu0_antiderivative(0.0) == 0.0
 
 
 def test_beta_ou_at_two():
-    assert beta(OU1, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
+    assert OU1.mu0_antiderivative(2.0) == pytest.approx(-2.0, rel=1e-14)
 
 
 def test_beta_cir_closed_form():
     # transformed drift rho/x - k x/2 with rho = (4*3*7 - 1)/2 = 41.5
     rho = dict(CIR.params)["rho"]
     assert rho == pytest.approx(41.5, abs=0)
-    assert beta(CIR, 2.0) == pytest.approx(2.0**41.5 * math.exp(-3.0), rel=1e-12)
+    assert CIR.mu0_antiderivative(2.0) == pytest.approx(41.5 * math.log(2.0) - 3.0, rel=1e-12)
 
 
 def test_gamma_ou_closed_form():
@@ -69,19 +72,18 @@ def test_bounds_ou_closed_form():
     b = compute_bounds(OU1, 0.0, 7.0)
     assert 0.0 < b.log_beta_sup < math.log1p(1e-12)
     assert -0.5 - 1e-12 < b.gamma_inf < -0.5
-    assert 24.0 < b.gamma_sup < 24.0 + 1e-12
-    assert b.gamma_range == b.gamma_sup - b.gamma_inf
+    assert 24.0 < b.gamma_inf + b.gamma_range < 24.0 + 1e-12
 
 
 def test_bounds_zero_drift():
     b = compute_bounds(BM, -3.0, 11.0)
-    assert (b.log_beta_sup, b.gamma_inf, b.gamma_sup, b.gamma_range) == (0.0, 0.0, 0.0, 0.0)
+    assert (b.log_beta_sup, b.gamma_inf, b.gamma_range) == (0.0, 0.0, 0.0)
 
 
 def test_bounds_sin_gamma_inf_clamped_to_zero():
     b = compute_bounds(SIN, 0.0, 7.0)
     assert b.gamma_inf == 0.0
-    assert b.gamma_sup > 0.0
+    assert b.gamma_range > 0.0
 
 
 @pytest.mark.parametrize(
@@ -94,9 +96,8 @@ def test_bounds_dominate_on_fine_grid(model, lo, hi):
         x = lo + (hi - lo) * (i + 0.5) / 1000
         g = gamma(model, x)
         assert b.gamma_inf <= min(g, 0.0)
-        assert g <= b.gamma_sup
-        assert beta(model, x) <= math.exp(b.log_beta_sup)
-    assert b.gamma_range == b.gamma_sup - b.gamma_inf
+        assert g - b.gamma_inf <= b.gamma_range
+        assert model.mu0_antiderivative(x) <= b.log_beta_sup
 
 
 def test_bounds_inflated():
@@ -105,7 +106,6 @@ def test_bounds_inflated():
     assert infl.log_beta_sup == pytest.approx(b.log_beta_sup + math.log(2.0))
     assert infl.gamma_inf == b.gamma_inf
     assert infl.gamma_range == pytest.approx(2.0 * b.gamma_range)
-    assert infl.gamma_range == infl.gamma_sup - infl.gamma_inf
 
 
 def test_slice_bounds_table_matches_direct():
@@ -150,7 +150,7 @@ def test_ou_requires_positive_lambda():
 
 def test_domain_errors():
     with pytest.raises(DomainError):
-        beta(CIR, -1.0)
+        lamperti_forward(CIR, -1.0)
     with pytest.raises(DomainError):
         gamma(CIR, 0.0)
     with pytest.raises(DomainError):
@@ -165,6 +165,20 @@ def test_make_model_quadrature_backed_antiderivative():
         assert m.mu0_antiderivative(x) == pytest.approx(math.sin(x), abs=1e-10)
     b = compute_bounds(m, 0.0, 2.0)
     assert b.log_beta_sup >= 1.0  # sup of sin on [0, 2], the log of the sup of exp(sin)
+
+
+def test_grid_log_beta_sup_is_the_log_of_the_padded_sup():
+    # the grid path pads e^a as (1 + _PAD) e^a + _PAD without forming e^a; where
+    # e^a is finite it agrees with padding e^a itself, to 1e-12 relative or an
+    # ulp of 1, the rounding of the old sum near a = 0, where its log is ~1e-6
+    zero = lambda x: 0.0
+    for a in (-745.0, -700.0, -13.8, -1.0, -1e-3, -1e-6, 0.0, 1e-6, 1e-3, 1.0, 50.0, 700.0, 709.78):
+        flat = make_model("flat", zero, zero, lambda x, a=a: a)
+        got = compute_bounds(flat, 0.0, 1.0).log_beta_sup
+        old = math.log(model_mod._pad_up(math.exp(a)))
+        assert math.isclose(got, old, rel_tol=1e-12, abs_tol=sys.float_info.epsilon), (a, got, old)
+    far = make_model("flat", zero, zero, lambda x: 1e4)
+    assert compute_bounds(far, 0.0, 1.0).log_beta_sup == pytest.approx(1e4 + math.log1p(1e-6), rel=1e-15)
 
 
 def test_build_model_registry():
@@ -226,11 +240,12 @@ def _assert_certified(model, lo, hi, critical):
     """No slack: the sampler's own evaluators stay inside the bounds at every probe."""
     b = compute_bounds(model, lo, hi)
     g_lo, g_hi = model.gamma_extrema(lo, hi)
-    assert b.gamma_sup == g_hi and b.gamma_inf == min(g_lo, 0.0)
+    assert b.gamma_inf == min(g_lo, 0.0) and b.gamma_range == g_hi - b.gamma_inf
     xs = [lo + (hi - lo) * i / 1999 for i in range(2000)] + [lo, hi] + _near(critical + [lo, hi], lo, hi)
     g, anti = model.gamma_fn, model.mu0_antiderivative
     for x in xs:
         assert g_lo <= g(x) <= g_hi, x
+        assert g(x) - b.gamma_inf <= b.gamma_range, x
         assert anti(x) <= b.log_beta_sup, x
 
 
@@ -278,7 +293,7 @@ def test_closed_form_bounds_no_looser_than_grid(model, a, b, ns):
     a_hat, b_hat = lamperti_forward(model, a), lamperti_forward(model, b)
     for n in ns:
         for new, old in zip(slice_bounds_table(model, a_hat, b_hat, n), slice_bounds_table(grid_model, a_hat, b_hat, n)):
-            assert new.gamma_sup <= old.gamma_sup
+            assert new.gamma_inf + new.gamma_range <= old.gamma_inf + old.gamma_range
             assert new.log_beta_sup <= old.log_beta_sup
 
 

@@ -7,16 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 walk_mod = importlib.import_module("exitwalk.random_walk")
-bm_mod = importlib.import_module("exitwalk.bm_exit")
 from exitwalk import (
     ConfigurationError,
-    ConvergenceError,
+    DegenerateInputError,
     RunawayError,
     SliceGrid,
     brownian,
     cox_ingersoll_ross,
     diff_exit,
     exit_probability,
+    make_model,
     mean_exit_time,
     ornstein_uhlenbeck,
     sinusoidal_drift,
@@ -216,15 +216,34 @@ def test_sin_walk_far_from_the_origin_returns():
     assert rec.exit_location in (1000.0, 1007.0) and rec.exit_time > 0.0
 
 
-def test_start_next_to_the_lower_end_raises_instead_of_spinning(monkeypatch):
-    # 1 - (1 - 1e-20) rounds to 0, so every hit-time proposal is t = 0; the
-    # proposal cap turns the endless loop into an error that names it, after
-    # a number of draws proportional to the cap
-    monkeypatch.setattr(bm_mod, "_MAX_PROPOSALS", 10**4)
-    rng = substream(1)
-    with pytest.raises(ConvergenceError, match="hitting-time"):
-        diff_exit(rng, BM, 1e-20, 0.0, 1.0, 1.0, 2)
-    assert 10**4 <= rng.draws <= 3 * 10**4
+@pytest.mark.parametrize(
+    "model,b,N,lanes", [(BM, 1.0, 2, None), (BM, 1.0, 2, 100), (SIN, 7.0, 7, None)], ids=["bm", "bm-lanes", "sin"]
+)
+def test_start_next_to_the_lower_end_returns(model, b, N, lanes):
+    # 1 - (1 - 1e-20) rounds to 0: a lower exit drawn from that distance never
+    # came; from the distance 1e-20 itself the walk leaves at once, at 0
+    out = diff_exit(substream(1), model, 1e-20, 0.0, b, 1.0, N, lanes=lanes)
+    for rec in [out] if lanes is None else out:
+        assert rec.exit_location == 0.0 and 0.0 < rec.exit_time < 1e-20
+
+
+def test_slices_too_narrow_for_their_floats_raise():
+    # 12 slices of 8 ulps: grid points coincided and the walk stopped on a
+    # ValueError; one slice covers any interval, however narrow
+    a = 1e6
+    b = a + 8 * math.ulp(a)
+    with pytest.raises(DegenerateInputError, match="too narrow"):
+        diff_exit(substream(1), BM, math.nextafter(a, b), a, b, 1.0, 12)
+    rec = diff_exit(substream(1), BM, math.nextafter(a, b), a, b, 1.0, 2)
+    assert rec.exit_location in (a, b)
+
+
+def test_grid_bounds_far_from_the_origin_return():
+    # the grid path padded e^a, which overflows once the antiderivative
+    # 2x + 1 - cos x passes 709.78; it now pads in log space
+    grid_sin = make_model("sin-grid", SIN.mu0, SIN.mu0_prime, SIN.mu0_antiderivative)
+    rec = diff_exit(substream(1), grid_sin, 1003.0, 1000.0, 1007.0, 1.0, 12)
+    assert rec.exit_location in (1000.0, 1007.0) and rec.exit_time > 0.0
 
 
 def test_step_cap_raises_runaway(monkeypatch):
