@@ -19,12 +19,13 @@ N, so tuning never perturbs the sampled law.
 
 With the work reward, pulls of the greedy arm are served from a per-arm bank
 of walks drawn ahead as one block (``diff_exit(..., lanes=k)``) from the
-bandit's own stream.  This is the "stack of rewards" view of a bandit
-(Lattimore & Szepesvari, *Bandit Algorithms*, 2020, section 4.6): the block
-reads variates that no earlier decision read, every later selection reads
-variates after it, and each pull takes the next unread i.i.d. walk of its
-arm, so the joint law of arms and rewards is that of one scalar walk per
-pull.
+bandit's own stream, of at most random_walk._LANES walks, the block size of
+``run_replications``.  This is the "stack of rewards" view of a bandit
+(Lattimore & Szepesvari, *Bandit Algorithms*, 2020, section 4.6): the
+block reads variates that no earlier decision read, every later selection
+reads variates after it, and each pull takes the next unread i.i.d. walk of
+its arm, so the joint law of arms and rewards is that of one scalar walk
+per pull.
 """
 
 from __future__ import annotations
@@ -35,14 +36,12 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .model import DiffusionModel, lamperti_forward
-from .random_walk import ExitRecord, diff_exit, slice_bounds_table
+from .random_walk import _LANES, ExitRecord, diff_exit, slice_bounds_table
 from .rng import RandomStream
 
 SCHEDULES = ("fixed", "cube_root_decay")
 WORK_UNITS = "work"
 WALL_TIME = "wall"
-# largest lane block banked for one arm: a larger block buys little speed and costs memory
-_BANK = 512
 
 
 @dataclass
@@ -79,11 +78,7 @@ class BanditState:
 
     def greedy_arm(self) -> int:
         """Arm with the smallest empirical mean cost; ties go to the smallest N."""
-        best = 0
-        for i in range(1, self.n_arms):
-            if self.mean_cost[i] < self.mean_cost[best]:
-                best = i
-        return best + 2
+        return self.mean_cost.index(min(self.mean_cost)) + 2
 
     def epsilon_effective(self, n: int) -> float:
         if self.schedule == "fixed" or n < 2:
@@ -178,7 +173,8 @@ def bandit_diff_exit(
 
     With the work reward, a pull of the greedy arm whose bank is empty
     refills it with one block ``diff_exit(rng, ..., lanes=k)`` of ``k =
-    min(_BANK, M - it + 1, pulls of that arm)`` walks, if k >= 1, and
+    min(_LANES, M - it + 1, pulls of that arm)`` walks, if k >= 1, so blocks
+    double with the arm's pulls up to random_walk's largest lane block, and
     banked walks are popped in lane order.  The law is exact: k may depend
     on the history, but the block reads variates no earlier decision read,
     and leftovers are dropped unread.  Every other pull runs one scalar walk
@@ -204,7 +200,7 @@ def bandit_diff_exit(
         bank = banks[arm]
         # select_arm leaves the state alone, so greedy_arm() is still the pre-selection one
         if not bank and work_reward and arm == state.greedy_arm():
-            k = min(_BANK, M - it + 1, state.pulls[arm - 2])
+            k = min(_LANES, M - it + 1, state.pulls[arm - 2])
             if k:
                 bank.extend(diff_exit(rng, model, x, a, b, T, arm, bounds_table=tables[arm], lanes=k))
         if bank:

@@ -188,6 +188,8 @@ def _fmt(v) -> str:
 
 
 class _Writer:
+    """CSV to a file or stdout; its ``with`` block closes the file or flushes stdout however it ends."""
+
     def __init__(self, out: str | None):
         self._fh = open(out, "w", encoding="utf-8") if out else sys.stdout
         self._close = out is not None
@@ -198,7 +200,10 @@ class _Writer:
     def raw(self, text: str) -> None:
         self._fh.write(text + "\n")
 
-    def done(self) -> None:
+    def __enter__(self) -> _Writer:
+        return self
+
+    def __exit__(self, *exc) -> None:
         if self._close:
             self._fh.close()
         else:
@@ -218,21 +223,20 @@ def _wall_ms(cfg: ExperimentConfig, out: dict) -> np.ndarray:
 def cmd_sample(cfg: ExperimentConfig) -> int:
     model = _build_model(cfg)
     out = run_replications(model, cfg.x, cfg.a, cfg.b, cfg.T, cfg.N, cfg.M, cfg.seed, tag="sample")
-    writer = _Writer(cfg.out)
-    writer.raw(f"{SCHEMA_PREFIX}.sample v1")
-    _model_header(writer, cfg, model)
-    writer.line(
-        "seed", "exit_time", "exit_location", "steps", "restarts",
-        "exit_bm_calls", "cond_bm_calls", "wall_ms", "N", "T",
-    )
-    columns = [
-        out[key].tolist()
-        for key in ("time", "location", "steps", "restarts", "exit_bm_calls", "cond_bm_calls")
-    ]
-    columns.append(_wall_ms(cfg, out).tolist())
-    for i, row in enumerate(zip(*columns)):
-        writer.line(i, *row, cfg.N, cfg.T)
-    writer.done()
+    with _Writer(cfg.out) as writer:
+        writer.raw(f"{SCHEMA_PREFIX}.sample v1")
+        _model_header(writer, cfg, model)
+        writer.line(
+            "seed", "exit_time", "exit_location", "steps", "restarts",
+            "exit_bm_calls", "cond_bm_calls", "wall_ms", "N", "T",
+        )
+        columns = [
+            out[key].tolist()
+            for key in ("time", "location", "steps", "restarts", "exit_bm_calls", "cond_bm_calls")
+        ]
+        columns.append(_wall_ms(cfg, out).tolist())
+        for i, row in enumerate(zip(*columns)):
+            writer.line(i, *row, cfg.N, cfg.T)
     times = out["time"]
     mean = float(times.mean())
     half = 1.96 * float(times.std(ddof=1)) / math.sqrt(cfg.M) if cfg.M > 1 else 0.0
@@ -248,27 +252,26 @@ def cmd_sample(cfg: ExperimentConfig) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     model = _build_model(cfg)
-    writer = _Writer(cfg.out)
-    writer.raw(f"{SCHEMA_PREFIX}.sweep v1")
-    _model_header(writer, cfg, model)
-    writer.line(
-        "N", "mean_work", "work_ci_lo", "work_ci_hi", "mean_wall_ms", "wall_ci_lo",
-        "wall_ci_hi", "mean_steps", "steps_ci_lo", "steps_ci_hi",
-    )
-    for n_slices in range(cfg.N_min, cfg.N0 + 1):
-        out = run_replications(
-            model, cfg.x, cfg.a, cfg.b, cfg.T, n_slices, cfg.M, cfg.seed, tag=f"sweep/N{n_slices}"
+    with _Writer(cfg.out) as writer:
+        writer.raw(f"{SCHEMA_PREFIX}.sweep v1")
+        _model_header(writer, cfg, model)
+        writer.line(
+            "N", "mean_work", "work_ci_lo", "work_ci_hi", "mean_wall_ms", "wall_ci_lo",
+            "wall_ci_hi", "mean_steps", "steps_ci_lo", "steps_ci_hi",
         )
-        row = [n_slices]
-        for arr in (out["work"], _wall_ms(cfg, out), out["steps"]):
-            m = float(arr.mean())
-            half = 1.96 * float(arr.std(ddof=1)) / math.sqrt(cfg.M) if cfg.M > 1 else 0.0
-            row += [m, m - half, m + half]
-        if cfg.timing:
-            # a block's walks share its mean wall time, so their spread says nothing
-            row[5:7] = [math.nan, math.nan]
-        writer.line(*row)
-    writer.done()
+        for n_slices in range(cfg.N_min, cfg.N0 + 1):
+            out = run_replications(
+                model, cfg.x, cfg.a, cfg.b, cfg.T, n_slices, cfg.M, cfg.seed, tag=f"sweep/N{n_slices}"
+            )
+            row = [n_slices]
+            for arr in (out["work"], _wall_ms(cfg, out), out["steps"]):
+                m = float(arr.mean())
+                half = 1.96 * float(arr.std(ddof=1)) / math.sqrt(cfg.M) if cfg.M > 1 else 0.0
+                row += [m, m - half, m + half]
+            if cfg.timing:
+                # a block's walks share its mean wall time, so their spread says nothing
+                row[5:7] = [math.nan, math.nan]
+            writer.line(*row)
     return 0
 
 
@@ -279,24 +282,22 @@ def cmd_bandit(cfg: ExperimentConfig) -> int:
         rng, model, cfg.x, cfg.a, cfg.b, cfg.T, cfg.N0, cfg.epsilon, cfg.M,
         reward=cfg.reward, schedule=cfg.schedule,
     )
-    writer = _Writer(cfg.out)
-    writer.raw(f"{SCHEMA_PREFIX}.bandit-trace v1")
-    _model_header(writer, cfg, model)
-    writer.line("iter", "N", "reward", "running_mean", "epsilon_effective")
-    for it, arm, r, running, eps in trace.rows:
-        writer.line(it, arm, r, running, eps)
-    writer.done()
+    with _Writer(cfg.out) as writer:
+        writer.raw(f"{SCHEMA_PREFIX}.bandit-trace v1")
+        _model_header(writer, cfg, model)
+        writer.line("iter", "N", "reward", "running_mean", "epsilon_effective")
+        for it, arm, r, running, eps in trace.rows:
+            writer.line(it, arm, r, running, eps)
 
     arms_out = None
     if cfg.out is not None:
         p = Path(cfg.out)
         arms_out = str(p.with_name(p.stem + ".arms.csv"))
-    awriter = _Writer(arms_out)
-    awriter.raw(f"{SCHEMA_PREFIX}.bandit-arms v1")
-    awriter.line("N", "pulls", "mean_cost")
-    for arm, pulls, mean_cost in trace.arm_summary():
-        awriter.line(arm, pulls, mean_cost)
-    awriter.done()
+    with _Writer(arms_out) as awriter:
+        awriter.raw(f"{SCHEMA_PREFIX}.bandit-arms v1")
+        awriter.line("N", "pulls", "mean_cost")
+        for arm, pulls, mean_cost in trace.arm_summary():
+            awriter.line(arm, pulls, mean_cost)
     final_running = trace.rows[-1][3]
     print(
         f"bandit: M={cfg.M} N0={cfg.N0} epsilon={cfg.epsilon} reward={cfg.reward} "
@@ -352,20 +353,19 @@ def _case_model(name: str) -> DiffusionModel:
 
 
 def cmd_validate(cfg: ExperimentConfig) -> int:
-    writer = _Writer(cfg.out)
-    writer.raw(f"{SCHEMA_PREFIX}.validate v1")
-    writer.line("case", "quantity", "n", "observed", "expected", "tol", "score", "status")
-    failed = 0
-    for case in cfg.cases:
-        _, _, a, b, x, T, N = _VALIDATION_CASES[case]
-        model = _case_model(case)
-        for row in run_validation(model, x, a, b, T, N, cfg.M, cfg.seed, f"validate/{case}", case=case):
-            failed += row["status"] != "pass"
-            writer.line(
-                row["case"], row["quantity"], row["n"], row["observed"], row["expected"],
-                row["tol"], row["score"], row["status"],
-            )
-    writer.done()
+    with _Writer(cfg.out) as writer:
+        writer.raw(f"{SCHEMA_PREFIX}.validate v1")
+        writer.line("case", "quantity", "n", "observed", "expected", "tol", "score", "status")
+        failed = 0
+        for case in cfg.cases:
+            _, _, a, b, x, T, N = _VALIDATION_CASES[case]
+            model = _case_model(case)
+            for row in run_validation(model, x, a, b, T, N, cfg.M, cfg.seed, f"validate/{case}", case=case):
+                failed += row["status"] != "pass"
+                writer.line(
+                    row["case"], row["quantity"], row["n"], row["observed"], row["expected"],
+                    row["tol"], row["score"], row["status"],
+                )
     if failed:
         print(f"validate: {failed} check(s) failed", file=sys.stderr)
         return 3

@@ -1,9 +1,10 @@
 """Parallel replications with scheduling-independent results.
 
-The replications are cut into blocks of _LANES, and block c runs its walks
-as one ``diff_exit(..., lanes=k)`` call on substream(seed, tag, "lanes", c).
-The arrays depend on (seed, tag, n) and never on ``processes``: they are
-bit-identical whether the work runs inline or fanned out over a pool.
+The replications are cut into blocks of random_walk._LANES, and block c
+runs its walks as one ``diff_exit(..., lanes=k)`` call on
+substream(seed, tag, "lanes", c).  The arrays depend on (seed, tag, n) and
+never on ``processes``: they are bit-identical whether the work runs inline
+or fanned out over a pool.
 Worker processes are forked after the case is staged in a module global,
 which keeps models (closures) out of pickling.
 """
@@ -17,11 +18,10 @@ import time
 import numpy as np
 
 from .model import lamperti_forward
-from .random_walk import diff_exit, slice_bounds_table
+from .random_walk import _LANES, diff_exit, slice_bounds_table
 from .rng import substream
 
 _CASE = None
-_LANES = 2048  # replications per lane block; fixed, so no array depends on processes
 
 # output key and dtype, in the order _run_block lists one replication's values
 _COLUMNS = (

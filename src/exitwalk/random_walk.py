@@ -42,6 +42,11 @@ _MAX_STEPS = 10**8
 # below this many walks, lanes do not pay: a block runs as scalar walks and the
 # lockstep walk hands its stragglers to the scalar walk
 _TAIL_LANES = 64
+# the largest lane block of any caller: most of a small block's time is numpy
+# overhead per pass, so one sin N=12 walk cost 77 us in blocks of 512, 57 in
+# 1,024, 42 in 2,048 and 37 in 4,096 (109 as a scalar walk; 2-vCPU x86_64,
+# numpy 2.4); past 2,048 the gain per walk shrinks while a block's arrays grow
+_LANES = 2048
 
 
 @dataclass(frozen=True, slots=True)

@@ -326,14 +326,16 @@ def test_banked_walks_keep_the_scalar_law(monkeypatch):
 
 
 def test_work_reward_banks_only_greedy_blocks(monkeypatch):
-    picks = []  # (greedy arm before the pick, arm picked)
+    cap, M = 32, 400
+    picks = []  # (greedy arm before the pick, arm picked, its pulls so far, pulls left)
     calls = []  # (pick of the pull, N, lanes)
     real_select, real_walk = bandit_mod.select_arm, bandit_mod.diff_exit
 
     def select(state, rng):
         greedy = state.greedy_arm()
-        picks.append((greedy, real_select(state, rng)))
-        return picks[-1][1]
+        arm = real_select(state, rng)
+        picks.append((greedy, arm, state.pulls[arm - 2], M - state.total_pulls))
+        return arm
 
     def walk(*args, **kwargs):
         calls.append((picks[-1], args[6], kwargs.get("lanes")))
@@ -341,14 +343,17 @@ def test_work_reward_banks_only_greedy_blocks(monkeypatch):
 
     monkeypatch.setattr(bandit_mod, "select_arm", select)
     monkeypatch.setattr(bandit_mod, "diff_exit", walk)
-    recs, trace = bandit_diff_exit(substream(63, "seams"), BM, 0.5, 0.0, 1.0, 1.0, 5, 0.3, 400)
-    assert len(recs) == len(trace.rows) == 400
+    monkeypatch.setattr(bandit_mod, "_LANES", cap)
+    recs, trace = bandit_diff_exit(substream(63, "seams"), BM, 0.5, 0.0, 1.0, 1.0, 5, 0.3, M)
+    assert len(recs) == len(trace.rows) == M
     # after the first pull, every pick is the greedy arm or one of its neighbours
-    assert all(abs(arm - greedy) <= 1 for greedy, arm in picks[1:])
+    assert all(abs(arm - greedy) <= 1 for greedy, arm, _, _ in picks[1:])
     blocks = [c for c in calls if c[2] is not None]
-    assert blocks and len(calls) < 400
-    for (greedy, arm), n, lanes in blocks:
-        assert n == arm == greedy and 1 <= lanes <= 512
+    assert blocks and len(calls) < M
+    # a block doubles the arm's pulls until the cap or the end of the run bounds it
+    for (greedy, arm, pulls, left), n, lanes in blocks:
+        assert n == arm == greedy and lanes == min(cap, left, pulls)
+    assert any(lanes == cap for _, _, lanes in blocks)
 
 
 def test_every_walk_draws_from_the_bandit_stream(monkeypatch):

@@ -1,7 +1,9 @@
+import gc
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -252,7 +254,8 @@ def test_cir_non_finite_params_are_config_errors(bad, value):
                  "--x", "3", "--T", "0.5", "--N", "8", "--M", "2", "--seed", "4"]) == 2
 
 
-def test_runaway_maps_to_exit_code_4(monkeypatch):
+def test_runaway_maps_to_exit_code_4(monkeypatch, tmp_path):
+    import exitwalk.cli as cli_mod
     import exitwalk.parallel as parallel_mod
 
     def boom(*args, **kwargs):
@@ -260,6 +263,18 @@ def test_runaway_maps_to_exit_code_4(monkeypatch):
 
     monkeypatch.setattr(parallel_mod, "diff_exit", boom)
     assert main(["sample", "--model", "sin", "--M", "1"]) == 4
+    # a command that fails after opening --out still closes it
+    monkeypatch.setattr(cli_mod, "run_replications", boom)
+    for argv in (
+        ["sweep", "--model", "sin", "--M", "2", "--N0", "3"],
+        ["validate", "--M", "2", "--cases", "zero"],
+    ):
+        out = tmp_path / f"{argv[0]}.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--out", str(out)]) == 4
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)], argv
 
 
 def test_experiment_config_validation():
