@@ -16,7 +16,7 @@ from .bandit import (
     select_arm,
     update,
 )
-from .bm_exit import BmExitSample, cond_bm, exit_bm, exit_time_cdf, hit_cdf
+from .bm_exit import BmExitSample, cond_bm, exit_bm
 from .box_exit import BoxOutcome, WorkCounter
 from .errors import (
     ConfigurationError,
@@ -33,7 +33,6 @@ from .model import (
     build_model,
     compute_bounds,
     cox_ingersoll_ross,
-    gamma,
     lamperti_forward,
     make_model,
     ornstein_uhlenbeck,
@@ -41,7 +40,7 @@ from .model import (
 )
 from .oracle import exit_probability, mean_exit_time
 from .quadrature import QuadratureResult, adaptive_simpson
-from .random_walk import ExitRecord, SliceGrid, diff_exit, slice_bounds_table, slice_index, slice_interval
+from .random_walk import ExitRecord, SliceGrid, diff_exit, slice_bounds_table, slice_interval
 from .rng import RandomStream, substream
 
 __version__ = "0.1.0"

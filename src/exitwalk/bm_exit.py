@@ -52,10 +52,15 @@ _MAX_TERMS = 10**6
 _MAX_PROPOSALS = 10**7
 # absolute rounding allowance, over pref, of the two- and six-term image sums of q
 _SUM_ROUNDING = 1e-14
-# a lane rejection loop hands its last few lanes to the scalar sampler
-_FEW_LANES = 16
-_TAIL_TRIES = 4  # normal-tail candidates per lane and pass
-_erfc = np.frompyfunc(math.erfc, 1, 1)
+# below this many open lanes, lanes do not pay for their numpy passes: a lane
+# rejection loop hands what is left to its scalar sampler, and random_walk runs
+# a block of fewer walks as scalar walks and hands the stragglers of a larger
+# one to the scalar walk.  One threshold decides both hand-offs.  Loops that
+# hand over at 64 lanes took 0.96 of the time of loops that hand over at 16,
+# on cir-short and on sin-bandit, and loops that never hand over took 1.52
+# times as long on cir-short (scripts/ab_inproc.py medians, 2-vCPU x86_64,
+# numpy 2.4)
+_TAIL_LANES = 64
 
 
 @dataclass(frozen=True)
@@ -67,10 +72,6 @@ class BmExitSample:
 
 def _phi(w: float, t: float) -> float:
     return math.exp(-w * w / (2.0 * t)) / math.sqrt(2.0 * math.pi * t)
-
-
-def _norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -124,30 +125,6 @@ def _kernel_bounds(z: float, y: float, t: float, k: int) -> tuple[float, float]:
     return max(s - tail, 0.0), s + tail
 
 
-def _survival_bounds(z: float, t: float, k: int) -> tuple[float, float]:
-    """Bounds on P(tau > t) after k image pairs / odd modes."""
-    if t < _T_CROSS:
-        rt = math.sqrt(t)
-        s = 0.0
-        for j in range(-k, k + 1):
-            s += (
-                _norm_cdf((1.0 - z + 2.0 * j) / rt)
-                - _norm_cdf((-z + 2.0 * j) / rt)
-                - _norm_cdf((1.0 + z + 2.0 * j) / rt)
-                + _norm_cdf((z + 2.0 * j) / rt)
-            )
-        tail = 4.0 * _phi(2.0 * k, t) / (1.0 - math.exp(-(4.0 * k + 2.0) / t)) if k >= 1 else math.inf
-        return max(s - tail, 0.0), min(s + tail, 1.0)
-    a = _HALF_PI2 * t
-    s = 0.0
-    n = 1
-    for _ in range(k):
-        s += (4.0 / (n * math.pi)) * math.sin(n * math.pi * z) * math.exp(-n * n * a)
-        n += 2
-    tail = (4.0 / (n * math.pi)) * math.exp(-n * n * a) / (1.0 - math.exp(-(4.0 * n + 4.0) * a))
-    return max(s - tail, 0.0), min(s + tail, 1.0)
-
-
 def _hit_cdf_bounds(d: float, t: float, k: int) -> tuple[float, float]:
     """Bounds on the sub-CDF P(tau <= t, exit at the endpoint at distance d)."""
     if t <= _T_CROSS:
@@ -169,35 +146,6 @@ def _hit_cdf_bounds(d: float, t: float, k: int) -> tuple[float, float]:
     )
     p = 1.0 - d  # the chance of exiting at this endpoint at all
     return max(p - s - tail, 0.0), min(p - s + tail, 1.0)
-
-
-def _resolve(bound_fn, tol: float, k_start: int = 1) -> tuple[float, float, int]:
-    """Shrink [lo, hi] (kept monotone by best-tracking) until hi - lo <= tol.
-
-    Raises once the term cap is hit or the width stops improving (the series
-    has bottomed out at float precision above the requested tolerance).
-    """
-    best_lo, best_hi = 0.0, math.inf
-    stale = 0
-    k = k_start
-    while k <= _MAX_TERMS:
-        lo, hi = bound_fn(k)
-        improved = False
-        if lo > best_lo:
-            best_lo = lo
-            improved = True
-        if hi < best_hi:
-            best_hi = hi
-            improved = True
-        if best_hi - best_lo <= tol:
-            return best_lo, best_hi, k
-        stale = 0 if improved else stale + 1
-        if stale >= 8:
-            raise ConvergenceError(
-                f"series sandwich stalled at width {best_hi - best_lo!r} above tolerance {tol!r}"
-            )
-        k += 1
-    raise ConvergenceError("series sandwich did not reach the requested tolerance")
 
 
 def _sandwich_accept(threshold: float, bound_fn, k_start: int = 1) -> bool:
@@ -573,19 +521,26 @@ def _decide(threshold, bounds, bound_fn, *args):
     return accept
 
 
-def _rejection_lanes(n: int, propose, finish, cap: float = math.inf, what: str = ""):
-    """Masked rejection loop over n lanes, compacting the lanes still open.
+def _each(fn, x):
+    """The scalar callable fn at every entry of the float array x, as a float array."""
+    return np.frompyfunc(fn, 1, 1)(x).astype(float)
+
+
+def _rejection_lanes(n: int, propose, finish, what: str):
+    """Masked rejection loop over n lanes, one candidate per open lane and round.
 
     ``propose(idx)`` returns (accepted, values) for the open lanes ``idx``;
-    once at most _FEW_LANES remain, ``finish(k)`` samples lane k with the
-    scalar sampler.  Past ``cap`` rounds the loop raises ConvergenceError.
+    once fewer than _TAIL_LANES remain, ``finish(k)`` samples lane k with the
+    scalar sampler, the threshold at which random_walk hands a walk's lanes
+    over.  Past _MAX_PROPOSALS rounds the loop raises ConvergenceError, as
+    its scalar twin does past _MAX_PROPOSALS proposals.
     """
     out = np.empty(n)
     idx = np.arange(n)
     rounds = 0
-    while len(idx) > _FEW_LANES:
+    while len(idx) >= _TAIL_LANES:
         rounds += 1
-        if rounds > cap:
+        if rounds > _MAX_PROPOSALS:
             raise ConvergenceError(f"{what} sampler stalled")
         ok, values = propose(idx)
         out[idx[ok]] = values[ok]
@@ -595,40 +550,30 @@ def _rejection_lanes(n: int, propose, finish, cap: float = math.inf, what: str =
     return out
 
 
-def _first_accepted(ok, values):
-    """Per row, (any candidate accepted, the first accepted one): sequential rejection over the row."""
-    first = ok.argmax(axis=1)
-    rows = np.arange(len(ok))
-    return ok[rows, first], values[rows, first]
-
-
 def _normal_tail_lanes(rng: RandomStream, c):
-    """Lane twin of _sample_normal_tail: |N(0,1)| conditioned on >= c[k].
-
-    Each pass draws _TAIL_TRIES candidates per open lane and keeps the first
-    that passes, which is the scalar rejection loop run _TAIL_TRIES times.
-    """
+    """Lane twin of _sample_normal_tail: |N(0,1)| conditioned on >= c[k]."""
     out = np.empty(len(c))
     small = c < 1.2
     plain = small.nonzero()[0]
     cp = c[plain]
 
     def propose_plain(idx):
-        v = np.abs(rng.normals(len(idx) * _TAIL_TRIES)).reshape(len(idx), _TAIL_TRIES)
-        return _first_accepted(v >= cp[idx, None], v)
+        v = np.abs(rng.normals(len(idx)))
+        return v >= cp[idx], v
 
-    out[plain] = _rejection_lanes(len(plain), propose_plain, lambda k: _sample_normal_tail(rng, float(cp[k])))
+    out[plain] = _rejection_lanes(
+        len(plain), propose_plain, lambda k: _sample_normal_tail(rng, float(cp[k])), "normal-tail (plain)"
+    )
     rayleigh = (~small).nonzero()[0]
     cr = c[rayleigh]
 
     def propose_rayleigh(idx):
-        cc = cr[idx, None]
-        shape = (len(idx), _TAIL_TRIES)
-        y = np.sqrt(cc * cc + 2.0 * -np.log1p(-rng.uniforms(shape[0] * shape[1]).reshape(shape)))
-        return _first_accepted(rng.uniforms(shape[0] * shape[1]).reshape(shape) * y <= cc, y)
+        cc = cr[idx]
+        y = np.sqrt(cc * cc + 2.0 * -np.log1p(-rng.uniforms(len(idx))))
+        return rng.uniforms(len(idx)) * y <= cc, y
 
     out[rayleigh] = _rejection_lanes(
-        len(rayleigh), propose_rayleigh, lambda k: _sample_normal_tail(rng, float(cr[k]))
+        len(rayleigh), propose_rayleigh, lambda k: _sample_normal_tail(rng, float(cr[k])), "normal-tail (Rayleigh)"
     )
     return out
 
@@ -639,7 +584,7 @@ def _sample_hit_time_lanes(rng: RandomStream, d):
     if not dd.all():
         raise DegenerateInputError(f"hitting distance {float(d[dd == 0.0][0])!r} squares to 0")
     c_env = np.sin(math.pi * d) + _TAIL_ENV_SLACK
-    mass_head = _erfc(d / math.sqrt(2.0 * _T_HEAD)).astype(float)
+    mass_head = _each(math.erfc, d / math.sqrt(2.0 * _T_HEAD))
     total = mass_head + (2.0 * c_env / math.pi) * math.exp(-_HALF_PI2 * _T_HEAD)
     trunc = d / math.sqrt(_T_HEAD)
 
@@ -665,9 +610,7 @@ def _sample_hit_time_lanes(rng: RandomStream, d):
         di = d[idx]
         return _decide(threshold, _hit_density_k1(di, t), _hit_density_bounds, di, t), t
 
-    return _rejection_lanes(
-        len(d), propose, lambda k: _sample_hit_time(rng, float(d[k])), _MAX_PROPOSALS, "hitting-time"
-    )
+    return _rejection_lanes(len(d), propose, lambda k: _sample_hit_time(rng, float(d[k])), "hitting-time")
 
 
 def _exit_bm_norm_lanes(rng: RandomStream, zl, zu):
@@ -698,7 +641,7 @@ def _cond_bm_norm_lanes(rng: RandomStream, z, tn):
 
         out[sp] = _rejection_lanes(
             len(sp), propose_spectral, lambda k: _cond_bm_norm(rng, float(zs[k]), float(ts[k])),
-            _MAX_PROPOSALS, "conditioned-position (spectral regime)",
+            "conditioned-position (spectral regime)",
         )
     im = (~spectral).nonzero()[0]
     if len(im):
@@ -720,41 +663,6 @@ def _cond_bm_norm_lanes(rng: RandomStream, z, tn):
 
         out[im] = _rejection_lanes(
             len(im), propose_image, lambda k: _cond_bm_norm(rng, float(zm[k]), float(tm[k])),
-            _MAX_PROPOSALS, "conditioned-position (image regime)",
+            "conditioned-position (image regime)",
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# deterministic evaluations (validation oracles)
-# ---------------------------------------------------------------------------
-
-
-def exit_time_cdf(x: float, l: float, u: float, t: float) -> float:
-    """P(exit from (l, u) by time t) for Brownian motion from x, to 1e-10 absolute."""
-    if not (l < x < u):
-        raise ValueError(f"need l < x < u, got l={l!r}, x={x!r}, u={u!r}")
-    if t < 0.0:
-        raise ValueError(f"need t >= 0, got {t!r}")
-    if t == 0.0:
-        return 0.0
-    z = (x - l) / (u - l)
-    tn = t / ((u - l) * (u - l))
-    lo, hi, _ = _resolve(lambda k: _survival_bounds(z, tn, k), 1e-10)
-    return min(max(1.0 - 0.5 * (lo + hi), 0.0), 1.0)
-
-
-def hit_cdf(x: float, l: float, u: float, t: float, side: str) -> float:
-    """Sub-CDF P(tau <= t and exit at ``side``), to 1e-12 absolute."""
-    if side not in ("lower", "upper"):
-        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
-    if not (l < x < u):
-        raise ValueError(f"need l < x < u, got l={l!r}, x={x!r}, u={u!r}")
-    if t < 0.0:
-        raise ValueError(f"need t >= 0, got {t!r}")
-    if t == 0.0:
-        return 0.0
-    d = ((u - x) if side == "upper" else (x - l)) / (u - l)
-    tn = t / ((u - l) * (u - l))
-    lo, hi, _ = _resolve(lambda k: _hit_cdf_bounds(d, tn, k), 1e-12)
-    return 0.5 * (lo + hi)

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bm_exit import _cond_bm_norm, _cond_bm_norm_lanes, _exit_bm_norm, _exit_bm_norm_lanes
+from .bm_exit import _cond_bm_norm, _cond_bm_norm_lanes, _each, _exit_bm_norm, _exit_bm_norm_lanes
 from .errors import RunawayError
 from .model import DiffusionModel, IntervalBounds, check_horizon, compute_bounds
 from .rng import RandomStream
@@ -197,11 +197,6 @@ def slice_constants(model: DiffusionModel, intervals, table) -> SliceConstants:
             anti(l) - log_bsup, anti(u) - log_bsup,
         ))
     return SliceConstants(*(np.array(col, dtype=float) for col in zip(*rows)))
-
-
-def _each(fn, x):
-    """The scalar callable fn at every entry of the float array x, as a float array."""
-    return np.frompyfunc(fn, 1, 1)(x).astype(float)
 
 
 def box_round(rng: RandomStream, model: DiffusionModel, sc: SliceConstants, s, x0, x, elapsed, T: float, work):

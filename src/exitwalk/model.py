@@ -114,15 +114,6 @@ def _check_in_domain(model: DiffusionModel, x: float) -> None:
         raise DomainError(f"x={x!r} outside open domain ({lo!r}, {hi!r}) of model {model.name!r}")
 
 
-def gamma(model: DiffusionModel, x: float) -> float:
-    """(mu0^2 + mu0')/2 at x."""
-    _check_in_domain(model, x)
-    v = model.gamma_fn(x)
-    if not math.isfinite(v):
-        raise DomainError(f"gamma not finite at x={x!r} for model {model.name!r}")
-    return v
-
-
 def lamperti_forward(model: DiffusionModel, x: float) -> float:
     _check_in_domain(model, x)
     y = model.lamperti(x)

@@ -13,7 +13,9 @@ parameters only move the cost.
 work counts of k scalar walks.  From _TAIL_LANES walks on they run in
 lockstep as numpy lanes (struct-of-arrays), one pass of the rectangle loop
 per lane at a time; fewer run as scalar walks in turn, where lanes would not
-pay for their set-up.
+pay for their set-up.  The threshold is bm_exit's, and it decides both
+hand-offs: a walk's lanes, and the lanes of each lane rejection loop, go to
+their scalar twins once fewer than _TAIL_LANES remain.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bm_exit import _TAIL_LANES
 from .box_exit import (
     _MAX_RESTARTS,
     EXITED_UPPER,
@@ -39,9 +42,6 @@ from .model import DiffusionModel, IntervalBounds, check_horizon, compute_bounds
 from .rng import RandomStream
 
 _MAX_STEPS = 10**8
-# below this many walks, lanes do not pay: a block runs as scalar walks and the
-# lockstep walk hands its stragglers to the scalar walk
-_TAIL_LANES = 64
 # the largest lane block of any caller: most of a small block's time is numpy
 # overhead per pass, so one sin N=12 walk cost 77 us in blocks of 512, 57 in
 # 1,024, 42 in 2,048 and 37 in 4,096 (109 as a scalar walk; 2-vCPU x86_64,
@@ -89,13 +89,6 @@ def _index(grid: SliceGrid, x: float) -> int:
     if j > grid.n - 1:
         return grid.n - 1
     return j
-
-
-def slice_index(grid: SliceGrid, x: float) -> int:
-    """Index of the slice covering x, clamped to 1 near a_hat and n-1 near b_hat."""
-    if not (grid.a_hat <= x <= grid.b_hat):
-        raise ValueError(f"x={x!r} outside [{grid.a_hat!r}, {grid.b_hat!r}]")
-    return _index(grid, x)
 
 
 def slice_interval(grid: SliceGrid, i: int) -> tuple[float, float]:

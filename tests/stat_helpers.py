@@ -6,7 +6,10 @@ injection that checks a biased thinning test is caught; ``inflate``, the
 conservative bounds that must change work but not the law;
 ``absorbing_kernel``, sandwich bounds on the Brownian kernel that the
 conditioned-position tests integrate against; and ``assert_same_exit_law``,
-the two-sample comparison of exit records that every faster path must pass.
+the two-sample comparison of exit records that every faster path must pass;
+and the deterministic evaluations that only tests call: the Brownian exit-time
+CDF and side sub-CDFs by sandwich, ``gamma`` with its domain check, and
+``slice_index`` with its range check.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from exitwalk import DiffusionModel, IntervalBounds, WorkCounter, compute_bounds
-from exitwalk.bm_exit import _kernel_bounds, _resolve
+from exitwalk import ConvergenceError, DiffusionModel, DomainError, IntervalBounds, WorkCounter, compute_bounds
+from exitwalk.bm_exit import _HALF_PI2, _MAX_TERMS, _T_CROSS, _hit_cdf_bounds, _kernel_bounds, _phi
+from exitwalk.model import _check_in_domain
+from exitwalk.random_walk import SliceGrid, _index
 
 
 def inflate(bounds: IntervalBounds, factor: float = 2.0) -> IntervalBounds:
@@ -224,3 +229,111 @@ def assert_same_exit_law(batch, scalar, b: float, label) -> None:
         w2 = np.array([getattr(r.work, field.name) for r in scalar], dtype=float)
         se = math.sqrt(w1.var(ddof=1) / n1 + w2.var(ddof=1) / n2)
         assert abs(w1.mean() - w2.mean()) <= 4.0 * se, (label, field.name, w1.mean(), w2.mean(), se)
+
+
+# ---------------------------------------------------------------------------
+# deterministic evaluations that only tests call
+# ---------------------------------------------------------------------------
+
+
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
+def _survival_bounds(z: float, t: float, k: int) -> tuple[float, float]:
+    """Bounds on P(tau > t) after k image pairs / odd modes."""
+    if t < _T_CROSS:
+        rt = math.sqrt(t)
+        s = 0.0
+        for j in range(-k, k + 1):
+            s += (
+                _norm_cdf((1.0 - z + 2.0 * j) / rt)
+                - _norm_cdf((-z + 2.0 * j) / rt)
+                - _norm_cdf((1.0 + z + 2.0 * j) / rt)
+                + _norm_cdf((z + 2.0 * j) / rt)
+            )
+        tail = 4.0 * _phi(2.0 * k, t) / (1.0 - math.exp(-(4.0 * k + 2.0) / t)) if k >= 1 else math.inf
+        return max(s - tail, 0.0), min(s + tail, 1.0)
+    a = _HALF_PI2 * t
+    s = 0.0
+    n = 1
+    for _ in range(k):
+        s += (4.0 / (n * math.pi)) * math.sin(n * math.pi * z) * math.exp(-n * n * a)
+        n += 2
+    tail = (4.0 / (n * math.pi)) * math.exp(-n * n * a) / (1.0 - math.exp(-(4.0 * n + 4.0) * a))
+    return max(s - tail, 0.0), min(s + tail, 1.0)
+
+
+def _resolve(bound_fn, tol: float, k_start: int = 1) -> tuple[float, float, int]:
+    """Shrink [lo, hi] (kept monotone by best-tracking) until hi - lo <= tol.
+
+    Raises once the term cap is hit or the width stops improving (the series
+    has bottomed out at float precision above the requested tolerance).
+    """
+    best_lo, best_hi = 0.0, math.inf
+    stale = 0
+    k = k_start
+    while k <= _MAX_TERMS:
+        lo, hi = bound_fn(k)
+        improved = False
+        if lo > best_lo:
+            best_lo = lo
+            improved = True
+        if hi < best_hi:
+            best_hi = hi
+            improved = True
+        if best_hi - best_lo <= tol:
+            return best_lo, best_hi, k
+        stale = 0 if improved else stale + 1
+        if stale >= 8:
+            raise ConvergenceError(
+                f"series sandwich stalled at width {best_hi - best_lo!r} above tolerance {tol!r}"
+            )
+        k += 1
+    raise ConvergenceError("series sandwich did not reach the requested tolerance")
+
+
+def exit_time_cdf(x: float, l: float, u: float, t: float) -> float:
+    """P(exit from (l, u) by time t) for Brownian motion from x, to 1e-10 absolute."""
+    if not (l < x < u):
+        raise ValueError(f"need l < x < u, got l={l!r}, x={x!r}, u={u!r}")
+    if t < 0.0:
+        raise ValueError(f"need t >= 0, got {t!r}")
+    if t == 0.0:
+        return 0.0
+    z = (x - l) / (u - l)
+    tn = t / ((u - l) * (u - l))
+    lo, hi, _ = _resolve(lambda k: _survival_bounds(z, tn, k), 1e-10)
+    return min(max(1.0 - 0.5 * (lo + hi), 0.0), 1.0)
+
+
+def hit_cdf(x: float, l: float, u: float, t: float, side: str) -> float:
+    """Sub-CDF P(tau <= t and exit at ``side``), to 1e-12 absolute."""
+    if side not in ("lower", "upper"):
+        raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
+    if not (l < x < u):
+        raise ValueError(f"need l < x < u, got l={l!r}, x={x!r}, u={u!r}")
+    if t < 0.0:
+        raise ValueError(f"need t >= 0, got {t!r}")
+    if t == 0.0:
+        return 0.0
+    d = ((u - x) if side == "upper" else (x - l)) / (u - l)
+    tn = t / ((u - l) * (u - l))
+    lo, hi, _ = _resolve(lambda k: _hit_cdf_bounds(d, tn, k), 1e-12)
+    return 0.5 * (lo + hi)
+
+
+def gamma(model: DiffusionModel, x: float) -> float:
+    """(mu0^2 + mu0')/2 at x."""
+    _check_in_domain(model, x)
+    v = model.gamma_fn(x)
+    if not math.isfinite(v):
+        raise DomainError(f"gamma not finite at x={x!r} for model {model.name!r}")
+    return v
+
+
+def slice_index(grid: SliceGrid, x: float) -> int:
+    """Index of the slice covering x, clamped to 1 near a_hat and n-1 near b_hat."""
+    if not (grid.a_hat <= x <= grid.b_hat):
+        raise ValueError(f"x={x!r} outside [{grid.a_hat!r}, {grid.b_hat!r}]")
+    return _index(grid, x)

@@ -15,7 +15,7 @@ import exitwalk as ew
 from exitwalk.bandit import BanditState, WORK_UNITS, bandit_diff_exit, select_arm, update
 from exitwalk.box_exit import box_exit
 from exitwalk.parallel import run_replications
-from stat_helpers import binomial_z, chi_square_test, inflate, ks_1sample, ks_2sample, ks_critical
+from stat_helpers import binomial_z, chi_square_test, exit_time_cdf, inflate, ks_1sample, ks_2sample, ks_critical
 
 SIN = ew.sinusoidal_drift()
 OU1 = ew.ornstein_uhlenbeck(1.0)
@@ -64,7 +64,7 @@ def test_criterion_1_brownian_kernel_exactness():
             upper += s.side == "upper"
         p = (x - l) / (u - l)
         z = binomial_z(upper, n, p)
-        d, _ = ks_1sample(times, lambda t: ew.exit_time_cdf(x, l, u, t))
+        d, _ = ks_1sample(times, lambda t: exit_time_cdf(x, l, u, t))
         crit = ks_critical(n, 0.01)
         if abs(z) > 3.0 or d >= crit:
             failures.append((case, z, d))

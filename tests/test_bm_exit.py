@@ -9,8 +9,6 @@ from exitwalk import (
     DegenerateInputError,
     cond_bm,
     exit_bm,
-    exit_time_cdf,
-    hit_cdf,
     substream,
 )
 from exitwalk.bm_exit import (
@@ -19,15 +17,23 @@ from exitwalk.bm_exit import (
     _hit_density_bounds,
     _cond_bm_norm,
     _kernel_bounds,
-    _resolve,
     _sample_hit_time,
+    _normal_tail_lanes,
     _sample_hit_time_lanes,
     _sample_normal_tail,
     _sandwich_accept,
-    _survival_bounds,
     _T_CROSS,
 )
-from stat_helpers import absorbing_kernel, binomial_z, ks_1sample, ks_2sample, ks_critical
+from stat_helpers import (
+    _resolve,
+    absorbing_kernel,
+    binomial_z,
+    exit_time_cdf,
+    hit_cdf,
+    ks_1sample,
+    ks_2sample,
+    ks_critical,
+)
 
 bm_mod = importlib.import_module("exitwalk.bm_exit")
 
@@ -239,7 +245,7 @@ def test_exit_time_cdf_dual_series_agreement():
 
 
 def _survival_series_brute(z, t, image, k=40):
-    import exitwalk.bm_exit as B
+    import stat_helpers as B
 
     if image:
         rt = math.sqrt(t)
@@ -313,11 +319,17 @@ def test_resolve_raises_when_bounds_stagnate():
 
 
 class _Scripted:
-    """A stream that serves the given normals and uniforms in turn."""
+    """A stream that serves the given normals and uniforms in turn, one at a time or in arrays."""
 
     def __init__(self, normals, uniforms):
         self.normal = iter(normals).__next__
         self.uniform = iter(uniforms).__next__
+
+    def normals(self, n):
+        return np.array([self.normal() for _ in range(n)])
+
+    def uniforms(self, n):
+        return np.array([self.uniform() for _ in range(n)])
 
 
 def _six_term(z, y, tn):
@@ -391,6 +403,14 @@ def test_normal_tail_loops_are_capped(monkeypatch):
             _sample_normal_tail(stuck, c)
 
 
+def test_normal_tail_lane_loops_are_capped(monkeypatch):
+    monkeypatch.setattr(bm_mod, "_MAX_PROPOSALS", 100)
+    stuck = _Scripted(iter(lambda: 0.0, None), iter(lambda: 1.0 - 2.0**-53, None))
+    for c, loop in ((0.5, "plain"), (1.5, "Rayleigh")):
+        with pytest.raises(ConvergenceError, match=rf"normal-tail \({loop}\)"), np.errstate(all="ignore"):
+            _normal_tail_lanes(stuck, np.full(2 * bm_mod._TAIL_LANES, c))
+
+
 class _Stuck:
     """A stream whose every uniform is the largest float below 1 and every
     normal 1.0: each hit-time proposal at distance 0.5 takes the tail piece and
@@ -411,7 +431,7 @@ def test_hit_time_loops_are_capped(monkeypatch):
     with pytest.raises(ConvergenceError, match="hitting-time"):
         _sample_hit_time(_Stuck(), 0.5)
     with pytest.raises(ConvergenceError, match="hitting-time"), np.errstate(all="ignore"):
-        _sample_hit_time_lanes(_Stuck(), np.full(2 * bm_mod._FEW_LANES, 0.5))
+        _sample_hit_time_lanes(_Stuck(), np.full(2 * bm_mod._TAIL_LANES, 0.5))
 
 
 def _levy_cdf(s):
@@ -443,4 +463,4 @@ def test_distance_whose_square_underflows_raises():
         with pytest.raises(DegenerateInputError, match="5e-324"):
             _exit_bm_norm(rng, 5e-324, 1.0, cap)
     with pytest.raises(DegenerateInputError, match="5e-324"), np.errstate(all="ignore"):
-        _sample_hit_time_lanes(rng, np.full(2 * bm_mod._FEW_LANES, 5e-324))
+        _sample_hit_time_lanes(rng, np.full(2 * bm_mod._TAIL_LANES, 5e-324))

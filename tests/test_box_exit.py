@@ -14,14 +14,13 @@ from exitwalk import (
     compute_bounds,
     cond_bm,
     exit_bm,
-    exit_time_cdf,
     ornstein_uhlenbeck,
     sinusoidal_drift,
     substream,
 )
 from exitwalk.bm_exit import _T_CROSS
 from exitwalk.box_exit import box_exit
-from stat_helpers import binomial_z, corrupt_gamma, inflate, ks_2sample
+from stat_helpers import binomial_z, corrupt_gamma, exit_time_cdf, inflate, ks_2sample
 
 BM = brownian()
 OU1 = ornstein_uhlenbeck(1.0)
@@ -55,7 +54,7 @@ def test_infinite_horizon_needs_nonnegative_gamma():
 
 def test_zero_drift_collapse_finite_horizon():
     """With zero drift the sampler must reproduce the plain Brownian outcome."""
-    from exitwalk import hit_cdf
+    from stat_helpers import hit_cdf
 
     n = 20_000
     rng = substream(7, "box")

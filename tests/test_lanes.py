@@ -119,6 +119,18 @@ def test_block_below_tail_lanes_is_scalar_walks_in_turn(monkeypatch, case, n):
     assert block_rng.draws == rng.draws
 
 
+def test_lanes_draw_few_more_variates_than_scalar_walks():
+    # each lane loop draws one candidate per open lane and round, as its scalar
+    # twin draws one per proposal; lanes still draw every exit in full
+    model, x, a, b, T, _ = CASES["sin"]
+    n = 2048
+    lane_rng, rng = substream(96, "draws"), substream(96, "draws")
+    diff_exit(lane_rng, model, x, a, b, T, 12, lanes=n)
+    for _ in range(n):
+        diff_exit(rng, model, x, a, b, T, 12)
+    assert lane_rng.draws <= 1.35 * rng.draws, (lane_rng.draws / n, rng.draws / n)
+
+
 def test_lane_path_reruns_byte_identical():
     model, x, a, b, T, N = CASES["sin"]
     one = run_replications(model, x, a, b, T, N, 300, 94, tag="rerun", processes=1)

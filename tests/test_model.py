@@ -13,7 +13,6 @@ from exitwalk import (
     build_model,
     compute_bounds,
     cox_ingersoll_ross,
-    gamma,
     lamperti_forward,
     make_model,
     ornstein_uhlenbeck,
@@ -21,7 +20,7 @@ from exitwalk import (
     slice_bounds_table,
 )
 import exitwalk.model as model_mod
-from stat_helpers import inflate
+from stat_helpers import gamma, inflate
 
 OU1 = ornstein_uhlenbeck(1.0)
 SIN = sinusoidal_drift()

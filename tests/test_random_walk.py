@@ -20,12 +20,11 @@ from exitwalk import (
     mean_exit_time,
     ornstein_uhlenbeck,
     sinusoidal_drift,
-    slice_index,
     slice_interval,
     substream,
 )
 from exitwalk.box_exit import box_exit
-from stat_helpers import binomial_z, ks_2sample
+from stat_helpers import binomial_z, ks_2sample, slice_index
 
 BM = brownian()
 SIN = sinusoidal_drift()
